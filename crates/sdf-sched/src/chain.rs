@@ -178,6 +178,17 @@ impl ChainTables {
         self.g[i * self.n + j]
     }
 
+    /// The `(n+1)×(n+1)` TNSE and delay prefix tables, row-major: entry
+    /// `[r][c]` sums the edges from positions `< r` into positions `< c`.
+    pub(crate) fn prefix_tables(&self) -> (&[u64], &[u64]) {
+        (&self.tnse_ps, &self.delay_ps)
+    }
+
+    /// Whether any edge with both endpoints in `[i..=j]` carries delay.
+    pub(crate) fn has_delay_within(&self, i: usize, j: usize) -> bool {
+        rect(&self.delay_ps, self.n, i, j, i, j) > 0
+    }
+
     /// Sum of TNSE over edges with source position in `[i..=k]` and sink
     /// position in `[k+1..=j]` (Eq. 4's crossing set).
     pub fn crossing_tnse(&self, i: usize, k: usize, j: usize) -> u64 {
@@ -225,7 +236,7 @@ impl ChainTables {
 /// Translation-invariant polynomial hashes of subchain content, the key
 /// source for the cross-run DP memo.
 ///
-/// A windowed-DP cell over `[i..=j]` is a pure function of (a) the
+/// A chain-DP cell over `[i..=j]` is a pure function of (a) the
 /// repetition counts `q` at positions `i..=j` and (b) the aggregated
 /// `(TNSE, delay, count)` of each position pair inside the window — the
 /// exact values the DP's gcd and rectangle queries read.  The hasher
@@ -269,7 +280,7 @@ fn mix64(mut z: u64) -> u64 {
 
 /// The inverse of an odd `a` mod 2⁶⁴ (Newton iteration doubles the
 /// correct low bits each step; five steps cover 64 bits).
-fn inv_u64(a: u64) -> u64 {
+pub(crate) fn inv_u64(a: u64) -> u64 {
     debug_assert!(a & 1 == 1, "only odd values are invertible mod 2^64");
     let mut x = a;
     for _ in 0..5 {

@@ -18,7 +18,7 @@ use sdf_core::schedule::SasTree;
 
 use crate::chain::ChainTables;
 use crate::dpwin::{self, DpMode};
-use crate::memo::{MemoStore, DOMAIN_DPPO};
+use crate::memo::MemoStore;
 use crate::treebuild::{build_tree, SplitDecision};
 
 /// The result of a DPPO run: an order-optimal R-schedule and its predicted
@@ -95,11 +95,12 @@ pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) -
     dppo_from_tables_memo(ct, q, mode, None)
 }
 
-/// [`dppo_from_tables`] with an optional cross-run [`MemoStore`]: cells
-/// whose subchain content was solved by *any* earlier run (this graph or
-/// an edited relative) are answered from the store.  Requires tables
-/// built via [`ChainTables::build_hashed`] and [`DpMode::Windowed`] for
-/// the memo to engage; results are bit-identical with or without it.
+/// [`dppo_from_tables`] with an optional cross-run [`MemoStore`]: a
+/// chain whose content was solved by *any* earlier run (this graph or an
+/// edited relative) resolves its whole schedule tree from the store.  The
+/// store engages only in [`DpMode::Exact`] and only on tables built via
+/// [`ChainTables::build_hashed`]; results are bit-identical with or
+/// without it.
 ///
 /// # Panics
 ///
@@ -113,31 +114,29 @@ pub fn dppo_from_tables_memo(
     assert!(!ct.is_empty(), "DPPO needs at least one actor");
     let _span = sdf_trace::span!("sched.dppo", actors = ct.len());
     let n = ct.len();
-    let mut solver = dpwin::Solver::new_memo(
-        ct,
-        mode,
-        dpwin::Combine::Sum,
-        |i, k, j| ct.split_cost(i, k, j),
-        memo.map(|s| (s, DOMAIN_DPPO)),
-    );
-    let bufmem = solver.value(0, n - 1);
-    // Tree decisions read argmin splits straight from the solver: the
-    // windowed scan provably reproduces the exact scan's smallest-k
+    let model = dpwin::CostModel {
+        combine: dpwin::Combine::Sum,
+        factored: true,
+    };
+    let dp = dpwin::solve(ct, mode, model, memo);
+    let bufmem = dp.value();
+    // Tree decisions read argmin splits straight from the solved DP: the
+    // windowed scan provably reproduces the dense kernel's smallest-k
     // tie-break, and resolving a cell always computes the two children
     // its tree decision visits next.
-    let solver = std::cell::RefCell::new(solver);
+    let dp = std::cell::RefCell::new(dp);
     let tree = build_tree(ct, q, &|i, j| SplitDecision {
-        k: solver.borrow_mut().tree_split(i, j),
+        k: dp.borrow_mut().tree_split(i, j),
         factored: true,
     });
     if sdf_trace::enabled() {
         let nn = n as u64;
         sdf_trace::counter_inc("sched.dppo.runs");
         sdf_trace::counter_add("sched.dppo.cells", nn * (nn - 1) / 2);
-        // Actual crossing-cost evaluations, not the closed form — the
-        // windowed scan does far fewer and the regression sentinel gates
+        // Actual crossing-cost evaluations, not the closed form — a
+        // memo-resolved tree does none and the regression sentinel gates
         // on this counter.
-        sdf_trace::counter_add("sched.dppo.split_probes", solver.borrow().probes());
+        sdf_trace::counter_add("sched.dppo.split_probes", dp.borrow().probes());
     }
     DppoResult { tree, bufmem }
 }
@@ -291,19 +290,13 @@ mod tests {
             }
             let q = RepetitionsVector::compute(&g).unwrap();
             let ct = ChainTables::build(&g, &q, &ids).unwrap();
-            let nn = ct.len();
-            let mut e = dpwin::Solver::new(&ct, DpMode::Exact, dpwin::Combine::Sum, |i, k, j| {
-                ct.split_cost(i, k, j)
-            });
-            let mut w =
-                dpwin::Solver::new(&ct, DpMode::Windowed, dpwin::Combine::Sum, |i, k, j| {
-                    ct.split_cost(i, k, j)
-                });
-            assert_eq!(
-                e.value(0, nn - 1),
-                w.value(0, nn - 1),
-                "trial {trial} n={n}"
-            );
+            let model = dpwin::CostModel {
+                combine: dpwin::Combine::Sum,
+                factored: true,
+            };
+            let e = dpwin::solve(&ct, DpMode::Exact, model, None);
+            let w = dpwin::solve(&ct, DpMode::Windowed, model, None);
+            assert_eq!(e.value(), w.value(), "trial {trial} n={n}");
             probes_exact += e.probes();
             probes_windowed += w.probes();
             let er = dppo_from_tables(&ct, &q, DpMode::Exact);
@@ -347,13 +340,20 @@ mod tests {
             }
             let q = RepetitionsVector::compute(&g).unwrap();
             let ct = ChainTables::build_hashed(&g, &q, &ids).unwrap();
-            let cold = dppo_from_tables(&ct, &q, DpMode::Windowed);
-            let first = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&shared));
-            let warm = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&shared));
-            // A store three entries wide evicts constantly mid-run;
-            // correctness must not care.
-            let evicting = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&tiny));
-            for (name, r) in [("first", &first), ("warm", &warm), ("evicting", &evicting)] {
+            let cold = dppo_from_tables(&ct, &q, DpMode::Exact);
+            let first = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&shared));
+            let warm = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&shared));
+            // A store three entries wide evicts most of a tree as it is
+            // stored, so the next run misses partway down; correctness
+            // must not care.
+            let evicting = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&tiny));
+            let evicting_again = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&tiny));
+            for (name, r) in [
+                ("first", &first),
+                ("warm", &warm),
+                ("evicting", &evicting),
+                ("evicting again", &evicting_again),
+            ] {
                 assert_eq!(cold.bufmem, r.bufmem, "trial {trial} {name}");
                 assert_eq!(cold.tree, r.tree, "trial {trial} {name}");
             }
@@ -365,10 +365,8 @@ mod tests {
 
     #[test]
     fn warm_rerun_resolves_from_the_store_alone() {
-        // A fully warm rerun must answer every tree-visited cell from the
-        // store: zero crossing-cost probes beyond the initial candidate
-        // scoring of cells it never reaches. We assert the sharper form:
-        // the second run misses nothing.
+        // A fully warm rerun must answer every tree cell from the store:
+        // it misses nothing, inserts nothing and probes no split.
         let mut g = SdfGraph::new("cd-dat");
         let ids: Vec<_> = ["A", "B", "C", "D", "E", "F"]
             .iter()
@@ -380,14 +378,21 @@ mod tests {
         let q = RepetitionsVector::compute(&g).unwrap();
         let ct = ChainTables::build_hashed(&g, &q, &ids).unwrap();
         let store = crate::memo::MemoStore::new();
-        let first = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&store));
+        let first = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&store));
         let before = store.stats();
-        let warm = dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&store));
+        let warm = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&store));
         let after = store.stats();
         assert_eq!(first.tree, warm.tree);
+        assert_eq!(first.bufmem, warm.bufmem);
         assert_eq!(after.misses, before.misses, "warm run missed the store");
-        assert!(after.hits > before.hits);
+        assert_eq!(after.hits - before.hits, (ids.len() - 1) as u64);
         assert_eq!(after.inserts, before.inserts, "warm run re-inserted");
+        let model = dpwin::CostModel {
+            combine: dpwin::Combine::Sum,
+            factored: true,
+        };
+        let warm_dp = dpwin::solve(&ct, DpMode::Exact, model, Some(&store));
+        assert_eq!(warm_dp.probes(), 0, "warm exact run probed splits");
     }
 
     #[test]

@@ -1,24 +1,32 @@
-//! Cross-run memoization of windowed chain-DP subproblems.
+//! Cross-run memoization of chain-DP results.
 //!
-//! The windowed DPPO/SDPPO solver resolves one triangular cell at a time;
-//! each cell's value and argmin split are pure functions of the *content*
-//! of its subchain — the repetition counts at each position plus the
-//! aggregated (TNSE, delay, edge-count) of every position pair the DP's
-//! rectangle queries can see.  [`MemoStore`] keys cells by a
-//! translation-invariant content hash of exactly that input (built by
-//! `ChainHasher` alongside the [`crate::chain::ChainTables`] prefix
-//! sums), so the same subchain reached through a *different* graph, a
-//! different lexical position, or a different request hits the same
-//! entry.
+//! The value and argmin split of every DPPO/SDPPO cell are pure
+//! functions of the *content* of its subchain — the repetition counts at
+//! each position plus the aggregated (TNSE, delay, edge-count) of every
+//! position pair the DP's rectangle queries can see.  [`MemoStore`] keys
+//! cells by a translation-invariant content hash of exactly that input
+//! (built by `ChainHasher` alongside the [`crate::chain::ChainTables`]
+//! prefix sums), so the same subchain reached through a *different*
+//! graph, a different lexical position, or a different request hits the
+//! same entry.
 //!
-//! This is what makes edit-heavy traffic cheap: a one-edge edit shifts or
-//! perturbs a handful of subchains, and every untouched subproblem —
-//! usually all but O(n) of them — is answered from the store instead of
-//! being re-solved.  Correctness does not depend on the store at all: a
-//! hit merely replays a value the exact recurrence would recompute, and
-//! the smallest-argmin split tie-break is part of the memoized answer, so
-//! memo-assisted runs are bit-identical to cold runs (asserted by tests,
-//! the edit proptests and the CI smoke job).
+//! The store works per schedule tree, in [`crate::DpMode::Exact`] (the
+//! default) only; the windowed cross-check ignores it.  A run resolves
+//! the root and then every tree cell from the store; on the first miss it
+//! runs the dense fill and inserts the resulting tree's `n − 1` cells.  A
+//! lexical order whose content the store has seen — a reverted edit, an
+//! undo, a repeated request — costs no DP fill at all, and the store
+//! grows by only `n − 1` entries per solved order.  Reuse of partial
+//! subchains is deliberately dropped: seeding the dense fill per cell
+//! multiplied the store's memory for little gain.  Entries are keyed by
+//! cost model (the `DOMAIN_*` tags), so SDPPO policies that price every
+//! split alike share them.
+//!
+//! Correctness does not depend on the store at all: a hit merely replays
+//! a value the exact recurrence would recompute, and the smallest-argmin
+//! split tie-break is part of the memoized answer, so memo-assisted runs
+//! are bit-identical to cold runs (asserted by tests, the edit proptests
+//! and the CI smoke job).
 //!
 //! The store is bounded (FIFO eviction) and thread-safe; the engine holds
 //! it in an `Arc` that survives across `AnalysisBuilder` runs and daemon
@@ -33,14 +41,15 @@ use std::sync::Mutex;
 
 /// Domain tag: DPPO (Sum-combine, always-factored crossing cost).
 pub const DOMAIN_DPPO: u8 = 1;
-/// Domain tag: SDPPO under [`crate::FactoringPolicy::Heuristic`].
-pub const DOMAIN_SDPPO_HEURISTIC: u8 = 2;
-/// Domain tag: SDPPO under [`crate::FactoringPolicy::Always`].
-pub const DOMAIN_SDPPO_ALWAYS: u8 = 3;
-/// Domain tag: SDPPO under [`crate::FactoringPolicy::Never`].
-pub const DOMAIN_SDPPO_NEVER: u8 = 4;
+/// Domain tag: SDPPO with the gcd-factored crossing cost, shared by
+/// [`crate::FactoringPolicy::Heuristic`] and
+/// [`crate::FactoringPolicy::Always`], which price every split alike.
+pub const DOMAIN_SDPPO_FACTORED: u8 = 2;
+/// Domain tag: SDPPO with the unfactored crossing cost
+/// ([`crate::FactoringPolicy::Never`]).
+pub const DOMAIN_SDPPO_UNFACTORED: u8 = 3;
 
-/// Content-addressed identity of one windowed-DP subproblem.
+/// Content-addressed identity of one chain-DP subproblem.
 ///
 /// `h1`/`h2` are two independent 128-bit translation-invariant digests of
 /// the subchain content (repetition counts and pairwise edge aggregates);
@@ -301,7 +310,7 @@ mod tests {
             tag: DOMAIN_DPPO,
         };
         let b = MemoKey {
-            tag: DOMAIN_SDPPO_HEURISTIC,
+            tag: DOMAIN_SDPPO_FACTORED,
             ..a
         };
         let c = MemoKey { len: 4, ..a };

@@ -20,7 +20,7 @@ use sdf_core::schedule::SasTree;
 
 use crate::chain::ChainTables;
 use crate::dpwin::{self, DpMode};
-use crate::memo::{MemoStore, DOMAIN_SDPPO_ALWAYS, DOMAIN_SDPPO_HEURISTIC, DOMAIN_SDPPO_NEVER};
+use crate::memo::MemoStore;
 use crate::treebuild::{build_tree, SplitDecision};
 
 /// When a merged loop should be factored by the subchain gcd (§5.1).
@@ -42,16 +42,6 @@ impl FactoringPolicy {
             FactoringPolicy::Heuristic => crossing_edges > 0,
             FactoringPolicy::Always => true,
             FactoringPolicy::Never => false,
-        }
-    }
-
-    /// The cross-run memo domain tag: each policy prices crossings
-    /// differently, so their DP cells must never share entries.
-    pub fn memo_tag(self) -> u8 {
-        match self {
-            FactoringPolicy::Heuristic => DOMAIN_SDPPO_HEURISTIC,
-            FactoringPolicy::Always => DOMAIN_SDPPO_ALWAYS,
-            FactoringPolicy::Never => DOMAIN_SDPPO_NEVER,
         }
     }
 }
@@ -134,10 +124,12 @@ pub fn sdppo_from_tables(
     sdppo_from_tables_memo(ct, q, policy, mode, None)
 }
 
-/// [`sdppo_from_tables`] with an optional cross-run [`MemoStore`], keyed
-/// under the policy's [`FactoringPolicy::memo_tag`].  Requires tables
-/// built via [`ChainTables::build_hashed`] and [`DpMode::Windowed`] for
-/// the memo to engage; results are bit-identical with or without it.
+/// [`sdppo_from_tables`] with an optional cross-run [`MemoStore`] of
+/// schedule trees, keyed by cost model: `Heuristic` and `Always` price
+/// every split alike and share entries, `Never` keeps its own.  The store
+/// engages only in [`DpMode::Exact`] and only on tables built via
+/// [`ChainTables::build_hashed`]; results are bit-identical with or
+/// without it.
 ///
 /// # Panics
 ///
@@ -152,29 +144,22 @@ pub fn sdppo_from_tables_memo(
     assert!(!ct.is_empty(), "SDPPO needs at least one actor");
     let _span = sdf_trace::span!("sched.sdppo", actors = ct.len());
     let n = ct.len();
-    // The factoring decision is a pure function of (i, k, j), so the DP
-    // table only needs the argmin k; `factored` is re-derived on demand.
-    let crossing = |i: usize, k: usize, j: usize| -> u64 {
-        if policy.factors(ct.crossing_count(i, k, j)) {
-            ct.split_cost(i, k, j)
-        } else {
-            ct.split_cost_unfactored(i, k, j)
-        }
+    // Only `Never` changes the price of a split: the heuristic prices
+    // every probe like `Always`, because a split with no crossing edges
+    // costs zero factored or not.  The factoring decision itself is a
+    // pure function of (i, k, j), re-derived per tree split below.
+    let model = dpwin::CostModel {
+        combine: dpwin::Combine::Max,
+        factored: policy != FactoringPolicy::Never,
     };
-    let mut solver = dpwin::Solver::new_memo(
-        ct,
-        mode,
-        dpwin::Combine::Max,
-        crossing,
-        memo.map(|s| (s, policy.memo_tag())),
-    );
-    let shared_cost = solver.value(0, n - 1);
+    let dp = dpwin::solve(ct, mode, model, memo);
+    let shared_cost = dp.value();
     // As in DPPO, tree decisions read argmin splits straight from the
-    // solver — the windowed tie-break provably matches the exact scan's.
-    let solver = std::cell::RefCell::new(solver);
+    // solved DP — the windowed tie-break provably matches the kernel's.
+    let dp = std::cell::RefCell::new(dp);
     let factored_splits = std::cell::Cell::new(0u64);
     let tree = build_tree(ct, q, &|i, j| {
-        let k = solver.borrow_mut().tree_split(i, j);
+        let k = dp.borrow_mut().tree_split(i, j);
         let factored = policy.factors(ct.crossing_count(i, k, j));
         if factored {
             factored_splits.set(factored_splits.get() + 1);
@@ -182,15 +167,14 @@ pub fn sdppo_from_tables_memo(
         SplitDecision { k, factored }
     });
     if sdf_trace::enabled() {
-        // Actual probes, not the closed form — the windowed scan does far
-        // fewer and the regression sentinel gates on this counter.
+        // Actual probes, not the closed form — a memo-resolved tree does
+        // none and the regression sentinel gates on this counter.
         let nn = n as u64;
         sdf_trace::counter_inc("sched.sdppo.runs");
         sdf_trace::counter_add("sched.sdppo.cells", nn * (nn - 1) / 2);
-        sdf_trace::counter_add("sched.sdppo.split_probes", solver.borrow().probes());
+        sdf_trace::counter_add("sched.sdppo.split_probes", dp.borrow().probes());
         // Factored decisions the schedule actually takes (one candidate
-        // per tree split) — the lazy windowed table no longer materialises
-        // every cell, so the old whole-table census is gone.
+        // per tree split).
         sdf_trace::counter_add("sched.sdppo.factored_splits", factored_splits.get());
     }
     SdppoResult { tree, shared_cost }
@@ -343,10 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn memo_never_leaks_across_policies() {
-        // All three policies share one store but carry distinct domain
-        // tags; each must reproduce its own cold result even after the
-        // others have populated the store with the same subchains.
+    fn memo_is_keyed_by_cost_model() {
+        // All three policies and DPPO share one store.  `Heuristic` and
+        // `Always` price every split alike, so the second of them resolves
+        // its tree from the first one's entries; `Never` and DPPO keep
+        // their own.  Each must reproduce its own cold result.
         let mut g = SdfGraph::new("fig4ish");
         let a = g.add_actor("A");
         let b = g.add_actor("B");
@@ -359,27 +344,32 @@ mod tests {
         let order = [a, b, c, d];
         let ct = ChainTables::build_hashed(&g, &q, &order).unwrap();
         let store = crate::memo::MemoStore::new();
-        for policy in [
-            FactoringPolicy::Heuristic,
-            FactoringPolicy::Always,
-            FactoringPolicy::Never,
+        let cells = order.len() - 1;
+        for (policy, new_cells) in [
+            (FactoringPolicy::Heuristic, cells),
+            (FactoringPolicy::Always, 0),
+            (FactoringPolicy::Never, cells),
         ] {
-            let cold = sdppo_from_tables(&ct, &q, policy, DpMode::Windowed);
-            let memoed = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Windowed, Some(&store));
-            let warm = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Windowed, Some(&store));
+            let before = store.len();
+            let cold = sdppo_from_tables(&ct, &q, policy, DpMode::Exact);
+            let memoed = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Exact, Some(&store));
+            let warm = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Exact, Some(&store));
             assert_eq!(cold.shared_cost, memoed.shared_cost, "{policy:?}");
             assert_eq!(cold.tree, memoed.tree, "{policy:?}");
             assert_eq!(cold.tree, warm.tree, "{policy:?} warm");
+            assert_eq!(store.len() - before, new_cells, "{policy:?} entries");
         }
         // DPPO shares the store too, under its own tag.
-        let dp_cold = crate::dppo::dppo_from_tables(&ct, &q, DpMode::Windowed);
-        let dp_memo = crate::dppo::dppo_from_tables_memo(&ct, &q, DpMode::Windowed, Some(&store));
+        let before = store.len();
+        let dp_cold = crate::dppo::dppo_from_tables(&ct, &q, DpMode::Exact);
+        let dp_memo = crate::dppo::dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&store));
         assert_eq!(dp_cold.bufmem, dp_memo.bufmem);
         assert_eq!(dp_cold.tree, dp_memo.tree);
+        assert_eq!(store.len() - before, cells, "DPPO entries");
     }
 
     #[test]
-    fn memo_ignored_in_exact_mode_and_without_hasher() {
+    fn exact_memo_is_tree_granular_and_needs_a_hasher() {
         let (g, order, q) = fig2();
         let store = crate::memo::MemoStore::new();
         // Plain tables: no hasher, memo must disengage silently.
@@ -388,22 +378,34 @@ mod tests {
             &ct,
             &q,
             FactoringPolicy::Heuristic,
-            DpMode::Windowed,
-            Some(&store),
-        );
-        assert_eq!(r.shared_cost, 40);
-        assert!(store.is_empty(), "memo engaged without a hasher");
-        // Hashed tables but exact mode: exact stays the reference path.
-        let cth = ChainTables::build_hashed(&g, &q, &order).unwrap();
-        let r = sdppo_from_tables_memo(
-            &cth,
-            &q,
-            FactoringPolicy::Heuristic,
             DpMode::Exact,
             Some(&store),
         );
         assert_eq!(r.shared_cost, 40);
-        assert!(store.is_empty(), "memo engaged in exact mode");
+        assert!(store.is_empty(), "memo engaged without a hasher");
+        // Hashed tables in exact mode: a cold run fills densely and
+        // stores exactly the tree's n - 1 cells; a warm run resolves the
+        // whole tree from the store without a single split probe.
+        let cth = ChainTables::build_hashed(&g, &q, &order).unwrap();
+        let policy = FactoringPolicy::Heuristic;
+        let cold = sdppo_from_tables_memo(&cth, &q, policy, DpMode::Exact, Some(&store));
+        assert_eq!(cold.shared_cost, 40);
+        assert_eq!(store.len(), order.len() - 1, "store holds the tree's cells");
+        let model = dpwin::CostModel {
+            combine: dpwin::Combine::Max,
+            factored: true,
+        };
+        let warm_dp = dpwin::solve(&cth, DpMode::Exact, model, Some(&store));
+        assert_eq!(warm_dp.probes(), 0, "warm exact run probed splits");
+        assert_eq!(warm_dp.value(), 40);
+        let before = store.stats();
+        let warm = sdppo_from_tables_memo(&cth, &q, policy, DpMode::Exact, Some(&store));
+        let after = store.stats();
+        assert_eq!(warm.shared_cost, cold.shared_cost);
+        assert_eq!(warm.tree, cold.tree);
+        assert_eq!(after.misses, before.misses, "warm run missed the store");
+        assert_eq!(after.hits - before.hits, (order.len() - 1) as u64);
+        assert_eq!(after.inserts, before.inserts, "warm run re-inserted");
     }
 
     #[test]

@@ -182,7 +182,7 @@ pub fn schedule_variant_from_tables(
 
 /// Like [`schedule_variant_from_tables`], plus an optional cross-run
 /// [`MemoStore`] the chain DPs probe for content-addressed subchain
-/// results. Chain-precise has no windowed formulation and ignores the
+/// results. Chain-precise is not a DPPO/SDPPO chain DP and ignores the
 /// store. Results are bit-identical with and without a store.
 ///
 /// # Errors

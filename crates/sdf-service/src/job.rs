@@ -64,8 +64,8 @@ pub struct Job {
     /// connection thread uses it to populate the cache from the
     /// outcome.
     pub cache_key: Option<(String, String)>,
-    /// Queue-entry time on the server recorder's clock, for the
-    /// `service.job` span.
+    /// Queue-entry time on the server recorder's clock; the worker
+    /// subtracts it from its start time to get the job's queue wait.
     pub enqueued_ns: u64,
     /// Where the worker sends the outcome.
     pub tx: mpsc::Sender<JobOutcome>,

@@ -19,11 +19,12 @@
 //! workers never install a global trace recorder (which would bleed
 //! cross-job counter totals into `engine_report` bytes). The daemon's
 //! own observability — `service.*` counters, gauges and latency
-//! histograms, per-job `service.job` spans, a bounded flight recorder
-//! of per-request summaries — lives on a private
-//! [`sdf_trace::Recorder`] and is exported through the `stats`,
-//! `metrics` (Prometheus-style exposition text) and `events`
-//! (flight-recorder drain) operations.
+//! histograms on a private [`sdf_trace::Recorder`], plus a bounded
+//! flight recorder of per-request summaries — is exported through the
+//! `stats`, `metrics` (Prometheus-style exposition text) and `events`
+//! (flight-recorder drain) operations.  The private recorder keeps no
+//! per-job spans, so its event list stays bounded; per-job timing goes to
+//! the flight recorder and the `--trace-dir` files.
 //!
 //! Every request additionally carries its own story back to the
 //! client: the response envelope's `telemetry` member (cache status,

@@ -18,9 +18,10 @@
 //! process-global totals, so a recorder would make the embedded
 //! `counters` section of an `engine_report` depend on what ran
 //! before, and a cached payload would no longer be byte-identical to
-//! a fresh run. All `service.*` instruments and per-job `service.job`
-//! spans go directly onto the server's private [`Recorder`] instead —
-//! and the per-request `telemetry` envelope member is composed on the
+//! a fresh run. All `service.*` instruments go directly onto the
+//! server's private [`Recorder`] instead (counters, gauges and
+//! histograms only, so its memory stays bounded) — and the per-request
+//! `telemetry` envelope member is composed on the
 //! connection thread from [`RequestTelemetry`], *outside* the cached
 //! payload bytes, so hits and misses share payload bytes while each
 //! carries its own timings.
@@ -235,7 +236,8 @@ impl Server {
     }
 
     /// The daemon's private recorder — `service.*` counters, gauges
-    /// and `service.job` spans.
+    /// and histograms. It records no spans: per-job timing lives in the
+    /// flight recorder and the `--trace-dir` files.
     pub fn recorder(&self) -> Arc<Recorder> {
         Arc::clone(&self.shared.recorder)
     }
@@ -357,17 +359,10 @@ fn worker_loop(shared: &Shared) {
         let seq = shared
             .flight
             .record(telemetry.to_flight_record(job.request.op(), state.as_str()));
-        shared.recorder.record_span(
-            "service.job",
-            vec![
-                ("op", job.request.op().to_string()),
-                ("request_id", job.request_id.clone()),
-                ("state", state.as_str().to_string()),
-                ("queued_ns", queue_wait_ns.to_string()),
-            ],
-            started,
-            service_ns,
-        );
+        // No span goes onto the long-lived private recorder: nothing
+        // drains it, so one event per job would grow the daemon's memory
+        // without bound. The flight record above and the per-job trace
+        // file below carry the job's timing instead.
         if state == JobState::Complete {
             write_job_trace(shared, &job, seq, &telemetry);
         }

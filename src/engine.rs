@@ -145,24 +145,25 @@ pub struct SynthesisOptions {
     /// Evaluate lattice cells on parallel threads.
     pub parallel: bool,
     /// How the chain DPs scan split positions. Both modes produce
-    /// bit-identical schedules and costs; [`DpMode::Windowed`] (the
-    /// default) probes far fewer splits on long chains, and
-    /// [`DpMode::Exact`] remains as the verification/ablation reference.
+    /// bit-identical schedules and costs; [`DpMode::Exact`] (the
+    /// default) runs the dense cache-friendly kernel for DPPO and SDPPO,
+    /// and [`DpMode::Windowed`] remains as the independent cross-check.
+    /// The `engine_report` records the mode as `dp_mode`.
     pub dp_mode: DpMode,
-    /// Cross-run memo store for the windowed chain DPs. When set, chain
-    /// tables are built with subchain hashers and every DP cell is
-    /// content-addressed in the store, so repeated synthesis of similar
-    /// graphs resolves shared subchains without recomputation. Results
-    /// are bit-identical with and without a store; `None` (the default)
-    /// keeps the classic single-shot behaviour and is required by the
-    /// regression sentinel's deterministic-counter capture.
+    /// Cross-run memo store for the chain DPs. When set, chain tables
+    /// are built with subchain hashers and exact-mode DP results are
+    /// content-addressed in the store per schedule tree: a lexical order
+    /// whose content was solved before resolves its whole tree without
+    /// a DP fill. The windowed cross-check ignores the store. Results are bit-identical with and without a store; `None` (the
+    /// default) keeps the classic single-shot behaviour and is required
+    /// by the regression sentinel's deterministic-counter capture.
     pub memo: Option<Arc<MemoStore>>,
 }
 
 impl Default for SynthesisOptions {
     /// The configuration equivalent to the classic [`Analysis::run`]:
     /// RPMC and APGAN orders, SDPPO loop hierarchies, both paper
-    /// allocation orders, parallel evaluation, windowed DP scans.
+    /// allocation orders, parallel evaluation, exact DP scans.
     fn default() -> Self {
         SynthesisOptions {
             heuristics: vec![Heuristic::Rpmc, Heuristic::Apgan],
@@ -232,17 +233,18 @@ impl AnalysisBuilder {
     }
 
     /// Selects the chain-DP scan mode. Results are bit-identical in both
-    /// modes; only the probe count (and wall time on long chains)
-    /// changes.
+    /// modes; only the probe count and wall time change (the default
+    /// exact kernel is the faster one).
     #[must_use]
     pub fn dp_mode(mut self, mode: DpMode) -> Self {
         self.options.dp_mode = mode;
         self
     }
 
-    /// Installs a cross-run [`MemoStore`] for the windowed chain DPs.
-    /// Results are bit-identical with and without one; warm stores skip
-    /// the quadratic DP sweep for every content-matched subchain.
+    /// Installs a cross-run [`MemoStore`] for the chain DPs. Results are
+    /// bit-identical with and without one; in the default exact mode a
+    /// warm store resolves a previously seen order's whole schedule tree
+    /// without running the cubic DP fill.
     #[must_use]
     pub fn memo(mut self, store: Arc<MemoStore>) -> Self {
         self.options.memo = Some(store);
@@ -571,27 +573,11 @@ impl fmt::Display for EngineReport {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_str(s: &mut String, key: &str, value: &str) {
     s.push('"');
     s.push_str(key);
     s.push_str("\":\"");
-    s.push_str(&json_escape(value));
+    s.push_str(&sdf_trace::json::escape(value));
     s.push('"');
 }
 

@@ -8,9 +8,10 @@
 //! change against the current graph, and [`IncrementalSession::apply_edits`]
 //! re-synthesises by recomputing only what the edit invalidated:
 //!
-//! * **chain-DP cells** are content-addressed in the memo store
-//!   ([`sdf_sched::memo`]) — subchains untouched by the edit resolve to
-//!   stored `(value, split)` pairs without re-running the DP;
+//! * **chain-DP schedule trees** are content-addressed in the memo store
+//!   ([`sdf_sched::memo`]) — a lexical order whose content the store has
+//!   seen (a revert, an undo, a repeated edit) resolves its whole tree
+//!   from stored `(value, split)` cells without running the DP;
 //! * **lifetime envelopes** of clean edges are reused verbatim
 //!   ([`IntersectionGraph::build_spliced`]) when the schedule tree and
 //!   repetitions vector are unchanged;
@@ -35,11 +36,14 @@
 //! # fn main() -> Result<(), sdfmem::core::SdfError> {
 //! let mut session = IncrementalSession::new(SynthesisOptions::default());
 //! let cold = session.synthesize(&satellite_receiver())?;
-//! let script = EditScript::parse("set-delay A B 3").unwrap();
-//! let warm = session.apply_edits(&script)?;
-//! assert!(!warm.stats.cold);
-//! assert!(warm.stats.memo_hits > 0); // shared subchains resolved from the store
-//! assert_eq!(warm.stats.dirty_edges, 1);
+//! let edit = session.apply_edits(&EditScript::parse("set-delay A B 3").unwrap())?;
+//! assert!(!edit.stats.cold);
+//! assert_eq!(edit.stats.dirty_edges, 1);
+//! // Reverting the edit restores content the store has seen: every
+//! // schedule tree resolves from the memo without a DP fill.
+//! let revert = session.apply_edits(&EditScript::parse("set-delay A B 0").unwrap())?;
+//! assert!(revert.stats.memo_hits > 0);
+//! assert_eq!(revert.stats.dirty_edges, 1);
 //! # let _ = cold;
 //! # Ok(())
 //! # }

@@ -417,6 +417,152 @@ proptest! {
     }
 }
 
+/// The textbook chain DP over a crossing-cost closure: every cell of
+/// the triangular table bottom-up, splits ascending so ties resolve to
+/// the smallest argmin, then the tree from the split table. `max`
+/// selects the SDPPO combine; `factored(i, k, j)` the loop decision.
+fn textbook_chain_dp(
+    ct: &sdfmem::sched::ChainTables,
+    q: &RepetitionsVector,
+    max: bool,
+    crossing: impl Fn(usize, usize, usize) -> u64,
+    factored: impl Fn(usize, usize, usize) -> bool,
+) -> (u64, sdfmem::core::schedule::SasTree) {
+    use sdfmem::sched::treebuild::{build_tree, SplitDecision};
+    let n = ct.len();
+    let mut value = vec![0u64; n * n];
+    let mut split = vec![0usize; n * n];
+    for span in 1..n {
+        for i in 0..n - span {
+            let j = i + span;
+            let (mut best, mut best_k) = (u64::MAX, i);
+            for k in i..j {
+                let (l, r) = (value[i * n + k], value[(k + 1) * n + j]);
+                let children = if max { l.max(r) } else { l.saturating_add(r) };
+                let cost = children.saturating_add(crossing(i, k, j));
+                if cost < best {
+                    (best, best_k) = (cost, k);
+                }
+            }
+            value[i * n + j] = best;
+            split[i * n + j] = best_k;
+        }
+    }
+    let tree = build_tree(ct, q, &|i, j| {
+        let k = split[i * n + j];
+        SplitDecision {
+            k,
+            factored: factored(i, k, j),
+        }
+    });
+    (value[n - 1], tree)
+}
+
+/// Checks DPPO and SDPPO under every factoring policy, in both DP modes,
+/// against [`textbook_chain_dp`] on an `n`-actor chain drawn from `seed`:
+/// rate changes, delays, and parallel edges between neighbours.
+fn check_dense_kernel_on_chain(seed: u64, n: usize) -> Result<(), proptest::TestCaseError> {
+    use sdfmem::core::SdfGraph;
+    use sdfmem::sched::{
+        dppo_from_tables, sdppo_from_tables, ChainTables, DpMode, FactoringPolicy,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut g = SdfGraph::new("chain");
+    let ids: Vec<_> = (0..n).map(|i| g.add_actor(format!("a{i}"))).collect();
+    for i in 0..n.saturating_sub(1) {
+        let (prod, cons) = [
+            (1, 1),
+            (1, 1),
+            (1, 2),
+            (2, 1),
+            (2, 3),
+            (3, 2),
+            (1, 3),
+            (4, 6),
+        ][rng.gen_range(0..8)];
+        let delay = if rng.gen_bool(0.2) {
+            rng.gen_range(1..=2 * cons)
+        } else {
+            0
+        };
+        g.add_edge_with_delay(ids[i], ids[i + 1], prod, cons, delay)
+            .expect("rates");
+        if rng.gen_bool(0.25) {
+            // A parallel edge with the same rate ratio keeps q intact.
+            let m = rng.gen_range(1..=3u64);
+            let delay = if rng.gen_bool(0.5) {
+                rng.gen_range(0..4)
+            } else {
+                0
+            };
+            g.add_edge_with_delay(ids[i], ids[i + 1], prod * m, cons * m, delay)
+                .expect("rates");
+        }
+    }
+    let q = RepetitionsVector::compute(&g).expect("chains are consistent");
+    let ct = ChainTables::build(&g, &q, &ids).expect("topological");
+
+    let (value, tree) = textbook_chain_dp(
+        &ct,
+        &q,
+        false,
+        |i, k, j| ct.split_cost(i, k, j),
+        |_, _, _| true,
+    );
+    for mode in [DpMode::Exact, DpMode::Windowed] {
+        let r = dppo_from_tables(&ct, &q, mode);
+        prop_assert_eq!(r.bufmem, value, "dppo {} n={}", mode, n);
+        prop_assert_eq!(&r.tree, &tree, "dppo {} n={}", mode, n);
+    }
+    for policy in [
+        FactoringPolicy::Heuristic,
+        FactoringPolicy::Always,
+        FactoringPolicy::Never,
+    ] {
+        let factors = |i: usize, k: usize, j: usize| match policy {
+            FactoringPolicy::Heuristic => ct.crossing_count(i, k, j) > 0,
+            FactoringPolicy::Always => true,
+            FactoringPolicy::Never => false,
+        };
+        let crossing = |i: usize, k: usize, j: usize| {
+            if factors(i, k, j) {
+                ct.split_cost(i, k, j)
+            } else {
+                ct.split_cost_unfactored(i, k, j)
+            }
+        };
+        let (value, tree) = textbook_chain_dp(&ct, &q, true, crossing, factors);
+        for mode in [DpMode::Exact, DpMode::Windowed] {
+            let r = sdppo_from_tables(&ct, &q, policy, mode);
+            prop_assert_eq!(r.shared_cost, value, "sdppo {:?} {} n={}", policy, mode, n);
+            prop_assert_eq!(&r.tree, &tree, "sdppo {:?} {} n={}", policy, mode, n);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense exact kernel (and the windowed cross-check) reproduce
+    /// the textbook closure scan — values and schedule trees — for DPPO
+    /// and all three SDPPO factoring policies on random chains with
+    /// delays and parallel edges.
+    #[test]
+    fn dense_kernel_matches_textbook_scan_on_random_chains(seed in 0u64..1_000_000) {
+        check_dense_kernel_on_chain(seed, 1 + (seed % 32) as usize)?;
+    }
+}
+
+#[test]
+fn dense_kernel_matches_textbook_scan_on_one_and_two_actors() {
+    for seed in 0..32 {
+        for n in [1, 2] {
+            check_dense_kernel_on_chain(seed, n).expect("kernel matches textbook");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -586,3 +586,46 @@ fn trace_dir_writes_one_parseable_trace_per_completed_job() {
     }
     let _ = std::fs::remove_dir(&dir);
 }
+
+#[test]
+fn private_recorder_stays_bounded_under_sustained_traffic() {
+    // The daemon's private recorder is never drained, so anything it
+    // keeps per request would grow without bound. After a few hundred
+    // requests (misses and cache hits alike) it must hold no more
+    // events than it did early on.
+    let (server, addr) = start(ServerConfig::default());
+    // Four clients in parallel keep the test fast; request i sends one
+    // of 250 distinct graphs, so the first 250 miss and the rest hit.
+    let send = |range: std::ops::Range<u64>| {
+        let chunk = (range.end - range.start) / 4;
+        let workers: Vec<_> = (0..4)
+            .map(|w| {
+                let addr = addr.clone();
+                let start = range.start + w * chunk;
+                thread::spawn(move || {
+                    let mut client = Client::connect(&addr).expect("connect");
+                    for i in start..start + chunk {
+                        let k = i % 250;
+                        let graph = format!("graph b{k}\nedge A B {} {}\n", 2 * (k + 1), k + 1);
+                        assert!(client
+                            .call(&format!("b{i}"), &analyze(&graph))
+                            .expect("call")
+                            .is_ok());
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("client thread");
+        }
+    };
+    send(0..100);
+    let early = server.recorder().snapshot().events.len();
+    send(100..400);
+    let late = server.recorder().snapshot().events.len();
+    assert_eq!(early, late, "recorder events grew with traffic");
+    assert!(late <= 8, "{late} events retained");
+    assert!(counter(&server, "service.jobs.complete") >= 250);
+    server.shutdown();
+    server.wait();
+}
