@@ -14,7 +14,7 @@
 /// The default corpus: a spread of Table 1 shapes — the satellite
 /// receiver, shallow and deep QMF filterbanks, the 16-QAM modem — plus
 /// one large synthetic system so the regression sentinel exercises the
-/// windowed DP and sweep WIG at scale.
+/// dense DP kernel and sweep WIG at scale.
 const DEFAULT_CORPUS: &[&str] = &[
     "satrec",
     "qmf23_2d",

@@ -1,4 +1,4 @@
-//! Large synthetic systems for the scale benchmark (`scale_bench`).
+//! Large synthetic systems for the scale workloads and tests.
 //!
 //! The registry graphs top out below 200 actors, which hides the
 //! asymptotic cost of the loop-hierarchy DPs and the WIG build.  This
@@ -22,7 +22,7 @@ use sdf_core::graph::SdfGraph;
 use sdf_core::math::gcd;
 use sdf_core::repetitions::RepetitionsVector;
 
-/// The benchmark tiers: small (CI smoke), medium, large.
+/// The size tiers: small, medium, large.
 pub const SIZES: [usize; 3] = [128, 512, 2048];
 
 /// Actors between consecutive rate converters in [`scale_chain`] (and the

@@ -1807,10 +1807,14 @@ mod tests {
         assert!(parse_args(&args(&["schedule", "g", "--bogus"])).is_err());
     }
 
+    /// Writes the Fig. 2 graph to a file of its own: tests run in
+    /// parallel, so a shared path would be rewritten under a reader.
     fn write_fig2() -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("sdfmem-cli-tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(format!("fig2-{}.sdf", std::process::id()));
+        let path = dir.join(format!("fig2-{}-{seq}.sdf", std::process::id()));
         std::fs::write(&path, "graph fig2\nedge A B 20 10\nedge B C 20 10\n")
             .expect("write temp graph");
         path

@@ -212,15 +212,6 @@ impl ChainTables {
         self.crossing_tnse(i, k, j) / self.gcd_range(i, j) + self.crossing_delay(i, k, j)
     }
 
-    /// Aggregate `(TNSE, delay)` of the parallel edges from position `u`
-    /// to position `v` — the windowed DP's per-pair lower-bound inputs.
-    pub(crate) fn pair_weights(&self, u: usize, v: usize) -> (u64, u64) {
-        (
-            rect(&self.tnse_ps, self.n, u, u, v, v),
-            rect(&self.delay_ps, self.n, u, u, v, v),
-        )
-    }
-
     /// The unfactored split cost: full-period crossing TNSE plus delays
     /// (used when a loop is deliberately left unfactored, §5.1).
     ///

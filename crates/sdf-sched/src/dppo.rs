@@ -64,43 +64,29 @@ pub fn dppo(
     q: &RepetitionsVector,
     order: &[ActorId],
 ) -> Result<DppoResult, SdfError> {
-    dppo_with_mode(graph, q, order, DpMode::default())
-}
-
-/// Runs DPPO with an explicit [`DpMode`].
-///
-/// # Errors
-///
-/// Same as [`dppo`].
-pub fn dppo_with_mode(
-    graph: &SdfGraph,
-    q: &RepetitionsVector,
-    order: &[ActorId],
-    mode: DpMode,
-) -> Result<DppoResult, SdfError> {
     if graph.actor_count() == 0 {
         return Err(SdfError::EmptyGraph);
     }
     let ct = ChainTables::build(graph, q, order)?;
-    Ok(dppo_from_tables(&ct, q, mode))
+    Ok(dppo_from_tables_memo(&ct, q, None))
 }
 
 /// Runs DPPO over prebuilt [`ChainTables`], so candidates sharing a
-/// lexical order share the O(n²) gcd/prefix-sum work.
+/// lexical order share the O(n²) gcd/prefix-sum work.  `_mode` selects
+/// nothing (see [`DpMode`]).
 ///
 /// # Panics
 ///
 /// Panics if `ct` is empty (callers validate via [`ChainTables::build`]).
-pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) -> DppoResult {
-    dppo_from_tables_memo(ct, q, mode, None)
+pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, _mode: DpMode) -> DppoResult {
+    dppo_from_tables_memo(ct, q, None)
 }
 
 /// [`dppo_from_tables`] with an optional cross-run [`MemoStore`]: a
 /// chain whose content was solved by *any* earlier run (this graph or an
 /// edited relative) resolves its whole schedule tree from the store.  The
-/// store engages only in [`DpMode::Exact`] and only on tables built via
-/// [`ChainTables::build_hashed`]; results are bit-identical with or
-/// without it.
+/// store engages only on tables built via [`ChainTables::build_hashed`];
+/// results are bit-identical with or without it.
 ///
 /// # Panics
 ///
@@ -108,7 +94,6 @@ pub fn dppo_from_tables(ct: &ChainTables, q: &RepetitionsVector, mode: DpMode) -
 pub fn dppo_from_tables_memo(
     ct: &ChainTables,
     q: &RepetitionsVector,
-    mode: DpMode,
     memo: Option<&MemoStore>,
 ) -> DppoResult {
     assert!(!ct.is_empty(), "DPPO needs at least one actor");
@@ -118,15 +103,12 @@ pub fn dppo_from_tables_memo(
         combine: dpwin::Combine::Sum,
         factored: true,
     };
-    let dp = dpwin::solve(ct, mode, model, memo);
+    let dp = dpwin::solve(ct, model, memo);
     let bufmem = dp.value();
-    // Tree decisions read argmin splits straight from the solved DP: the
-    // windowed scan provably reproduces the dense kernel's smallest-k
-    // tie-break, and resolving a cell always computes the two children
-    // its tree decision visits next.
-    let dp = std::cell::RefCell::new(dp);
+    // Tree decisions read smallest-argmin splits straight from the solved
+    // DP.
     let tree = build_tree(ct, q, &|i, j| SplitDecision {
-        k: dp.borrow_mut().tree_split(i, j),
+        k: dp.tree_split(i, j),
         factored: true,
     });
     if sdf_trace::enabled() {
@@ -136,7 +118,7 @@ pub fn dppo_from_tables_memo(
         // Actual crossing-cost evaluations, not the closed form — a
         // memo-resolved tree does none and the regression sentinel gates
         // on this counter.
-        sdf_trace::counter_add("sched.dppo.split_probes", dp.borrow().probes());
+        sdf_trace::counter_add("sched.dppo.split_probes", dp.probes());
     }
     DppoResult { tree, bufmem }
 }
@@ -244,73 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_matches_exact_on_cd_dat() {
-        let mut g = SdfGraph::new("cd-dat");
-        let ids: Vec<_> = ["A", "B", "C", "D", "E", "F"]
-            .iter()
-            .map(|n| g.add_actor(*n))
-            .collect();
-        for (i, &(p, c)) in [(1, 1), (2, 3), (2, 7), (8, 7), (5, 1)].iter().enumerate() {
-            g.add_edge(ids[i], ids[i + 1], p, c).unwrap();
-        }
-        let q = RepetitionsVector::compute(&g).unwrap();
-        let exact = dppo_with_mode(&g, &q, &ids, DpMode::Exact).unwrap();
-        let windowed = dppo_with_mode(&g, &q, &ids, DpMode::Windowed).unwrap();
-        assert_eq!(exact.bufmem, windowed.bufmem);
-        assert_eq!(exact.tree, windowed.tree);
-    }
-
-    #[test]
-    fn windowed_matches_exact_on_random_chains() {
-        // LCG-driven chains with rate changes and sporadic delays — the
-        // cost family that disproved a static Knuth split window during
-        // development.  Windowed must reproduce exact bufmem AND trees.
-        struct Lcg(u64);
-        impl Lcg {
-            fn next(&mut self, m: u64) -> u64 {
-                self.0 = self
-                    .0
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (self.0 >> 33) % m
-            }
-        }
-        let mut rng = Lcg(0x9e3779b97f4a7c15);
-        let mut probes_exact = 0u64;
-        let mut probes_windowed = 0u64;
-        for trial in 0..300u64 {
-            let n = 2 + rng.next(38) as usize;
-            let mut g = SdfGraph::new("rc");
-            let ids: Vec<_> = (0..n).map(|i| g.add_actor(format!("a{i}"))).collect();
-            for w in 0..n - 1 {
-                let p = 1 + rng.next(9);
-                let c = 1 + rng.next(9);
-                let d = if rng.next(4) == 0 { rng.next(12) } else { 0 };
-                g.add_edge_with_delay(ids[w], ids[w + 1], p, c, d).unwrap();
-            }
-            let q = RepetitionsVector::compute(&g).unwrap();
-            let ct = ChainTables::build(&g, &q, &ids).unwrap();
-            let model = dpwin::CostModel {
-                combine: dpwin::Combine::Sum,
-                factored: true,
-            };
-            let e = dpwin::solve(&ct, DpMode::Exact, model, None);
-            let w = dpwin::solve(&ct, DpMode::Windowed, model, None);
-            assert_eq!(e.value(), w.value(), "trial {trial} n={n}");
-            probes_exact += e.probes();
-            probes_windowed += w.probes();
-            let er = dppo_from_tables(&ct, &q, DpMode::Exact);
-            let wr = dppo_from_tables(&ct, &q, DpMode::Windowed);
-            assert_eq!(er.bufmem, wr.bufmem, "trial {trial} n={n}");
-            assert_eq!(er.tree, wr.tree, "trial {trial} n={n}");
-        }
-        assert!(
-            probes_windowed < probes_exact,
-            "windowed {probes_windowed} >= exact {probes_exact}"
-        );
-    }
-
-    #[test]
     fn memo_assisted_runs_are_bit_identical() {
         // Random chains; every run with the memo (cold store, warm store,
         // evicting store) must reproduce the no-memo result exactly —
@@ -340,14 +255,14 @@ mod tests {
             }
             let q = RepetitionsVector::compute(&g).unwrap();
             let ct = ChainTables::build_hashed(&g, &q, &ids).unwrap();
-            let cold = dppo_from_tables(&ct, &q, DpMode::Exact);
-            let first = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&shared));
-            let warm = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&shared));
+            let cold = dppo_from_tables_memo(&ct, &q, None);
+            let first = dppo_from_tables_memo(&ct, &q, Some(&shared));
+            let warm = dppo_from_tables_memo(&ct, &q, Some(&shared));
             // A store three entries wide evicts most of a tree as it is
             // stored, so the next run misses partway down; correctness
             // must not care.
-            let evicting = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&tiny));
-            let evicting_again = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&tiny));
+            let evicting = dppo_from_tables_memo(&ct, &q, Some(&tiny));
+            let evicting_again = dppo_from_tables_memo(&ct, &q, Some(&tiny));
             for (name, r) in [
                 ("first", &first),
                 ("warm", &warm),
@@ -378,9 +293,9 @@ mod tests {
         let q = RepetitionsVector::compute(&g).unwrap();
         let ct = ChainTables::build_hashed(&g, &q, &ids).unwrap();
         let store = crate::memo::MemoStore::new();
-        let first = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&store));
+        let first = dppo_from_tables_memo(&ct, &q, Some(&store));
         let before = store.stats();
-        let warm = dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&store));
+        let warm = dppo_from_tables_memo(&ct, &q, Some(&store));
         let after = store.stats();
         assert_eq!(first.tree, warm.tree);
         assert_eq!(first.bufmem, warm.bufmem);
@@ -391,7 +306,7 @@ mod tests {
             combine: dpwin::Combine::Sum,
             factored: true,
         };
-        let warm_dp = dpwin::solve(&ct, DpMode::Exact, model, Some(&store));
+        let warm_dp = dpwin::solve(&ct, model, Some(&store));
         assert_eq!(warm_dp.probes(), 0, "warm exact run probed splits");
     }
 

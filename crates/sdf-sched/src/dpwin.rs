@@ -1,4 +1,4 @@
-//! Execution modes and the shared solver for the chain DPs.
+//! The shared solver for the chain DPs.
 //!
 //! Both DPPO (Eqs. 2–4) and SDPPO (Eq. 5) minimise, for every subchain
 //! `[i..=j]` of the lexical order, over a split position `k ∈ [i, j)`:
@@ -10,18 +10,9 @@
 //! where `combine` is `+` for DPPO and `max` for SDPPO, `T` and `D` are
 //! the TNSE and delay totals of the edges crossing the split, and `g` is
 //! `gcd(q[i..=j])` — or 1 when the loop is left unfactored
-//! ([`crate::FactoringPolicy::Never`]).  [`DpMode`] selects how that
-//! minimisation is carried out:
-//!
-//! * [`DpMode::Exact`] (the default) fills the whole triangular table
-//!   with one dense kernel — Θ(n³) split probes, the textbook
-//!   recurrence, at a few nanoseconds per probe.
-//! * [`DpMode::Windowed`] computes cells lazily, narrowing each cell's
-//!   scan with an admissible lower bound and resolving candidates
-//!   best-first.  It is kept as an independent cross-check of the
-//!   kernel: its bound prunes DPPO on long homogeneous stretches, but the
-//!   max-combine bound barely prunes SDPPO, which it makes several times
-//!   slower than the dense kernel.
+//! ([`crate::FactoringPolicy::Never`]).  One dense kernel fills the whole
+//! triangular table — Θ(n³) split probes, the textbook recurrence, at a
+//! few nanoseconds per probe.
 //!
 //! # The dense kernel
 //!
@@ -47,8 +38,7 @@
 //! runs `k` ascending and only a strictly smaller cost replaces the
 //! incumbent, so the stored split is the smallest argmin — the tie-break
 //! of the textbook scan.  Values and `u32` splits live in packed
-//! triangles, and every table lives only as long as one DP run, so peak
-//! memory stays below the windowed solver's.
+//! triangles, and every table lives only as long as one DP run.
 //!
 //! # Cross-run memo
 //!
@@ -58,8 +48,7 @@
 //! the resulting tree's `n − 1` cells.  A stored entry is the exact
 //! `(value, smallest-argmin split)` of its subchain, keyed under the cost
 //! model's domain tag (`CostModel::memo_tag`), so results are
-//! bit-identical with or without a store.  Windowed mode, the
-//! cross-check, ignores the store.
+//! bit-identical with or without a store.
 //!
 //! # Why not the Knuth–Yao split window
 //!
@@ -68,96 +57,28 @@
 //! cost does not: the crossing TNSE is divided by the subchain gcd, which
 //! changes non-monotonically with the span.  On random rate-changing
 //! chains a static window (even with boundary-widening fallback) returned
-//! wrong values on ~5 % of instances, so it was rejected for the
-//! bound-guided scan below, which is exact by construction.
-//!
-//! # The windowed admissible bound
-//!
-//! For every position pair `(u, v)` the solver precomputes
-//!
-//! ```text
-//! lb(u, v) = pair_tnse(u, v) / gcd(q[u..=v]) + pair_delay(u, v)
-//! ```
-//!
-//! In any R-schedule of a span containing both positions, the edges
-//! `u → v` cross exactly one split, whose enclosing span `[lo, hi]`
-//! contains `[u, v]`; since `gcd(q[lo..=hi])` divides `gcd(q[u..=v])`,
-//! those edges pay at least `lb(u, v)` there.  Dense O(n²) recurrences
-//! then give `LB[i][j] ≤ v[i, j]`: the sum of `lb` over pairs inside the
-//! span for [`Combine::Sum`] (every pair crosses exactly one split), the
-//! max for [`Combine::Max`] (every pair's split cost survives at least one
-//! `max` chain to the root).  Both DP cost families dominate the bound —
-//! the factored crossing cost and the unfactored one charge each crossing
-//! edge at least its `lb` share.
-//!
-//! # The windowed best-first scan
-//!
-//! Each cell pushes every candidate `k` into a min-heap keyed by
-//! `(optimistic score, k, resolved)` where the optimistic score is
-//! `combine(LB[i,k], LB[k+1,j]) + crossing(i, k, j)`.  Popping an
-//! unresolved candidate computes its children exactly (recursing into
-//! this same scan) and re-pushes its true cost; the first *resolved* pop
-//! is the cell's answer.  The tuple ordering makes the returned `k` the
-//! smallest argmin — any candidate with a smaller true cost, or an equal
-//! cost and smaller `k`, would have popped first — which is exactly the
-//! tie-break of the dense kernel.  Values **and** split tables are
-//! therefore byte-for-byte identical to [`DpMode::Exact`] (enforced by
-//! tests over the registry and random chains), and the worst case per
-//! cell degrades to the full scan plus heap overhead.
+//! wrong values on ~5 % of instances, so the kernel scans every split.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::fmt;
-use std::str::FromStr;
+use std::collections::HashMap;
 
 use crate::chain::{inv_u64, ChainTables};
 use crate::memo::{
     MemoEntry, MemoStore, DOMAIN_DPPO, DOMAIN_SDPPO_FACTORED, DOMAIN_SDPPO_UNFACTORED,
 };
 
-/// How the chain DPs scan split positions.
+/// How the chain DPs scan split positions: always with the dense kernel.
+///
+/// The enum has one variant and selects nothing.  It survives only for
+/// source compatibility: the benchmark harness (`perfbench/`) passes
+/// `DpMode::default()` to [`crate::dppo_from_tables`] and
+/// [`crate::sdppo_from_tables`].  The enum and those two parameters go
+/// with the next change to the benchmark (see `ROADMAP.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum DpMode {
     /// Probe every split `k ∈ [i, j)` with the dense kernel — Θ(n³)
-    /// total probes; the default.
+    /// total probes.
     #[default]
     Exact,
-    /// Lazy bound-guided best-first scan — same values and schedule trees
-    /// as [`DpMode::Exact`]; kept as an independent cross-check.
-    Windowed,
-}
-
-impl DpMode {
-    /// Both modes, exact first.
-    pub const ALL: [DpMode; 2] = [DpMode::Exact, DpMode::Windowed];
-
-    /// Short lower-case name (`exact`, `windowed`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            DpMode::Exact => "exact",
-            DpMode::Windowed => "windowed",
-        }
-    }
-}
-
-impl fmt::Display for DpMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for DpMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "exact" => Ok(DpMode::Exact),
-            "windowed" => Ok(DpMode::Windowed),
-            other => Err(format!(
-                "unknown DP mode `{other}` (expected exact or windowed)"
-            )),
-        }
-    }
 }
 
 /// How a split's two child costs merge into the parent cost.
@@ -167,15 +88,6 @@ pub(crate) enum Combine {
     Sum,
     /// SDPPO: the children's buffers overlay, only the max survives.
     Max,
-}
-
-impl Combine {
-    fn apply(self, l: u64, r: u64) -> u64 {
-        match self {
-            Combine::Sum => l.saturating_add(r),
-            Combine::Max => l.max(r),
-        }
-    }
 }
 
 /// One chain-DP cost family.
@@ -199,74 +111,41 @@ impl CostModel {
             (Combine::Max, false) => DOMAIN_SDPPO_UNFACTORED,
         }
     }
-
-    /// The crossing cost of splitting `[i..=j]` after `k`.
-    fn crossing(self, ct: &ChainTables, i: usize, k: usize, j: usize) -> u64 {
-        if self.factored {
-            ct.split_cost(i, k, j)
-        } else {
-            ct.split_cost_unfactored(i, k, j)
-        }
-    }
 }
-
-/// Uncomputed-cell sentinel.  Real costs are assumed to stay below it —
-/// the same no-overflow assumption the recurrence always made.
-const UNSET: u64 = u64::MAX;
 
 /// A solved chain DP: the whole-chain value plus the source the schedule
 /// tree's split decisions are read from.
-pub(crate) struct ChainDp<'a> {
+pub(crate) struct ChainDp {
     value: u64,
-    splits: Splits<'a>,
+    splits: Splits,
 }
 
-enum Splits<'a> {
+enum Splits {
     /// The dense kernel's full table.
     Dense(DenseTable),
-    /// The lazy windowed solver.
-    Lazy(Windowed<'a>),
     /// Tree cells resolved from the memo store, keyed by `(i, j)`.
     Stored(HashMap<(usize, usize), usize>),
 }
 
 /// Solves the chain DP over `ct` under `model`.  The `memo` store engages
-/// only in exact mode and only on tables built with a content hasher.
-pub(crate) fn solve<'a>(
-    ct: &'a ChainTables,
-    mode: DpMode,
-    model: CostModel,
-    memo: Option<&MemoStore>,
-) -> ChainDp<'a> {
+/// only on tables built with a content hasher.
+pub(crate) fn solve(ct: &ChainTables, model: CostModel, memo: Option<&MemoStore>) -> ChainDp {
     let memo = memo.filter(|_| ct.hasher().is_some());
     let tag = model.memo_tag();
-    let n = ct.len();
-    match mode {
-        DpMode::Exact => {
-            if let Some(dp) = memo.and_then(|store| resolve_tree(ct, store, tag)) {
-                return dp;
-            }
-            let table = DenseTable::fill(ct, model);
-            if let Some(store) = memo {
-                table.store_tree(ct, store, tag);
-            }
-            ChainDp {
-                value: table.value(0, n - 1),
-                splits: Splits::Dense(table),
-            }
-        }
-        DpMode::Windowed => {
-            let mut w = Windowed::new(ct, model);
-            let value = w.value(0, n - 1);
-            ChainDp {
-                value,
-                splits: Splits::Lazy(w),
-            }
-        }
+    if let Some(dp) = memo.and_then(|store| resolve_tree(ct, store, tag)) {
+        return dp;
+    }
+    let table = DenseTable::fill(ct, model);
+    if let Some(store) = memo {
+        table.store_tree(ct, store, tag);
+    }
+    ChainDp {
+        value: table.value(0, ct.len() - 1),
+        splits: Splits::Dense(table),
     }
 }
 
-impl ChainDp<'_> {
+impl ChainDp {
     /// The DP value of the whole chain.
     pub(crate) fn value(&self) -> u64 {
         self.value
@@ -275,11 +154,10 @@ impl ChainDp<'_> {
     /// The smallest argmin split of subchain `[i..=j]`, for tree
     /// construction.  Only the cells of the optimal tree are guaranteed
     /// to be answerable (a store-resolved run holds nothing else).
-    pub(crate) fn tree_split(&mut self, i: usize, j: usize) -> usize {
+    pub(crate) fn tree_split(&self, i: usize, j: usize) -> usize {
         debug_assert!(i < j);
-        match &mut self.splits {
+        match &self.splits {
             Splits::Dense(t) => t.split(i, j),
-            Splits::Lazy(w) => w.tree_split(i, j),
             Splits::Stored(m) => m[&(i, j)],
         }
     }
@@ -289,7 +167,6 @@ impl ChainDp<'_> {
     pub(crate) fn probes(&self) -> u64 {
         match &self.splits {
             Splits::Dense(t) => t.probes,
-            Splits::Lazy(w) => w.probes,
             Splits::Stored(_) => 0,
         }
     }
@@ -298,7 +175,7 @@ impl ChainDp<'_> {
 /// Resolves the optimal tree of the whole chain from the store: the root
 /// first, then every internal cell its splits lead to.  `None` on the
 /// first miss (or an entry whose split falls outside its cell).
-fn resolve_tree<'a>(ct: &ChainTables, store: &MemoStore, tag: u8) -> Option<ChainDp<'a>> {
+fn resolve_tree(ct: &ChainTables, store: &MemoStore, tag: u8) -> Option<ChainDp> {
     let n = ct.len();
     let hasher = ct.hasher()?;
     if n < 2 {
@@ -498,7 +375,7 @@ fn scan<const MAX: bool, const DIV: bool, const DELAY: bool>(
     } else {
         (&[][..], &[][..])
     };
-    let mut best = UNSET;
+    let mut best = u64::MAX;
     let mut best_x = 0;
     for x in 0..len {
         let t = tc[x].wrapping_add(tr[x]).wrapping_sub(tnse.total);
@@ -524,109 +401,6 @@ fn scan<const MAX: bool, const DIV: bool, const DELAY: bool>(
         }
     }
     (best, best_x)
-}
-
-/// The lazy bound-guided solver of [`DpMode::Windowed`].
-struct Windowed<'a> {
-    ct: &'a ChainTables,
-    model: CostModel,
-    /// Admissible lower bounds `LB[i*n + j]`.
-    lb: Vec<u64>,
-    /// `v[i*n + j]` for `i <= j`; diagonal 0, [`UNSET`] where unfilled.
-    value: Vec<u64>,
-    /// Smallest argmin split per computed cell, `split[i*n + j]`.
-    split: Vec<usize>,
-    /// Crossing-cost evaluations so far (the `split_probes` counter).
-    probes: u64,
-}
-
-impl<'a> Windowed<'a> {
-    fn new(ct: &'a ChainTables, model: CostModel) -> Self {
-        let n = ct.len();
-        let mut s = Windowed {
-            ct,
-            model,
-            lb: Vec::new(),
-            value: vec![UNSET; n * n],
-            split: vec![0; n * n],
-            probes: 0,
-        };
-        for i in 0..n {
-            s.value[i * n + i] = 0;
-        }
-        s.build_bounds();
-        s
-    }
-
-    /// Fills `LB[i][j]` from the per-pair bounds in O(n²).
-    fn build_bounds(&mut self) {
-        let n = self.ct.len();
-        let mut lb = vec![0u64; n * n];
-        for span in 1..n {
-            for i in 0..(n - span) {
-                let j = i + span;
-                let (t, d) = self.ct.pair_weights(i, j);
-                let edge = t / self.ct.gcd_range(i, j) + d;
-                lb[i * n + j] = match self.model.combine {
-                    // Inclusion–exclusion over the pairs inside the span;
-                    // the subtraction cannot underflow because the pair
-                    // set of [i, j-1] contains that of [i+1, j-1].
-                    Combine::Sum => (lb[i * n + (j - 1)] - lb[(i + 1) * n + (j - 1)])
-                        .saturating_add(lb[(i + 1) * n + j])
-                        .saturating_add(edge),
-                    Combine::Max => lb[i * n + (j - 1)].max(lb[(i + 1) * n + j]).max(edge),
-                };
-            }
-        }
-        self.lb = lb;
-    }
-
-    /// The exact DP value of subchain `[i..=j]` (0 when `i >= j`),
-    /// computing it on demand.
-    fn value(&mut self, i: usize, j: usize) -> u64 {
-        if i >= j {
-            return 0;
-        }
-        let n = self.ct.len();
-        let idx = i * n + j;
-        if self.value[idx] != UNSET {
-            return self.value[idx];
-        }
-        let combine = self.model.combine;
-        let mut heap: BinaryHeap<Reverse<(u64, usize, bool)>> =
-            BinaryHeap::with_capacity(j - i + 1);
-        for k in i..j {
-            self.probes += 1;
-            let opt = combine
-                .apply(self.lb[i * n + k], self.lb[(k + 1) * n + j])
-                .saturating_add(self.model.crossing(self.ct, i, k, j));
-            heap.push(Reverse((opt, k, false)));
-        }
-        loop {
-            let Reverse((score, k, resolved)) = heap.pop().expect("candidate heap never drains");
-            if resolved {
-                self.value[idx] = score;
-                self.split[idx] = k;
-                return score;
-            }
-            let l = self.value(i, k);
-            let r = self.value(k + 1, j);
-            self.probes += 1;
-            let cost = combine
-                .apply(l, r)
-                .saturating_add(self.model.crossing(self.ct, i, k, j));
-            heap.push(Reverse((cost, k, true)));
-        }
-    }
-
-    /// The smallest argmin split of subchain `[i..=j]`.  The windowed
-    /// tie-break provably matches the dense kernel's, and resolving a
-    /// cell always computes the two children its tree decision will visit
-    /// next.
-    fn tree_split(&mut self, i: usize, j: usize) -> usize {
-        self.value(i, j);
-        self.split[i * self.ct.len() + j]
-    }
 }
 
 #[cfg(test)]
@@ -665,12 +439,15 @@ mod tests {
         for span in 1..n {
             for i in 0..(n - span) {
                 let j = i + span;
-                let mut best = UNSET;
+                let mut best = u64::MAX;
                 let mut best_k = i;
                 for k in i..j {
-                    let cost = combine
-                        .apply(value[i * n + k], value[(k + 1) * n + j])
-                        .saturating_add(crossing(i, k, j));
+                    let (l, r) = (value[i * n + k], value[(k + 1) * n + j]);
+                    let children = match combine {
+                        Combine::Sum => l.saturating_add(r),
+                        Combine::Max => l.max(r),
+                    };
+                    let cost = children.saturating_add(crossing(i, k, j));
                     if cost < best {
                         best = cost;
                         best_k = k;
@@ -705,7 +482,13 @@ mod tests {
     fn assert_kernel_matches_textbook(ct: &ChainTables, model: CostModel, what: &str) {
         let n = ct.len();
         let table = DenseTable::fill(ct, model);
-        let (value, split) = textbook(ct, model.combine, |i, k, j| model.crossing(ct, i, k, j));
+        let (value, split) = textbook(ct, model.combine, |i, k, j| {
+            if model.factored {
+                ct.split_cost(i, k, j)
+            } else {
+                ct.split_cost_unfactored(i, k, j)
+            }
+        });
         for i in 0..n {
             for j in (i + 1)..n {
                 assert_eq!(
@@ -791,59 +574,8 @@ mod tests {
         let edges = vec![(1u64, 1u64, 0u64); 16];
         let (_, _, ct) = chain_tables(&edges);
         let n = ct.len() as u64;
-        let dp = solve(&ct, DpMode::Exact, MODELS[0], None);
+        let dp = solve(&ct, MODELS[0], None);
         assert_eq!(dp.probes(), n * (n * n - 1) / 6);
-    }
-
-    #[test]
-    fn windowed_matches_exact_every_model() {
-        let (_, _, ct) = cd_dat();
-        let n = ct.len();
-        for model in MODELS {
-            let e = DenseTable::fill(&ct, model);
-            let mut w = Windowed::new(&ct, model);
-            // Force every cell in the windowed solver and compare tables.
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    assert_eq!(e.value(i, j), w.value(i, j), "value ({i}, {j})");
-                    assert_eq!(e.split(i, j), w.tree_split(i, j), "split ({i}, {j})");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn windowed_root_probes_far_fewer_on_sparse_rate_changes() {
-        // CD-DAT-style structure: long homogeneous filter stretches with
-        // sparse sample-rate changers.  Inside a stretch the pair bound is
-        // tight (the pair gcd equals every enclosing within-stretch span
-        // gcd), so the best-first scan prunes DPPO hard; the bound only
-        // slackens near the rate boundaries.  Fewer probes is not less
-        // time — a dense probe is several times cheaper than a heap-driven
-        // one — which is why exact is the default.
-        let edges: Vec<_> = (0..64)
-            .map(|i| {
-                if i % 16 == 8 {
-                    if (i / 16) % 2 == 0 {
-                        (2, 3, 0)
-                    } else {
-                        (3, 2, 0)
-                    }
-                } else {
-                    (1, 1, 0)
-                }
-            })
-            .collect();
-        let (_, _, ct) = chain_tables(&edges);
-        let e = solve(&ct, DpMode::Exact, MODELS[0], None);
-        let w = solve(&ct, DpMode::Windowed, MODELS[0], None);
-        assert_eq!(e.value(), w.value());
-        assert!(
-            w.probes() * 4 < e.probes(),
-            "windowed {} not well under exact {}",
-            w.probes(),
-            e.probes()
-        );
     }
 
     #[test]
@@ -852,11 +584,9 @@ mod tests {
         let a = g.add_actor("A");
         let q = RepetitionsVector::compute(&g).unwrap();
         let ct = ChainTables::build(&g, &q, &[a]).unwrap();
-        for mode in DpMode::ALL {
-            let dp = solve(&ct, mode, MODELS[0], None);
-            assert_eq!(dp.value(), 0);
-            assert_eq!(dp.probes(), 0);
-        }
+        let dp = solve(&ct, MODELS[0], None);
+        assert_eq!(dp.value(), 0);
+        assert_eq!(dp.probes(), 0);
     }
 
     #[test]
@@ -883,33 +613,17 @@ mod tests {
                 let (e, te) = (0..5)
                     .map(|_| {
                         let t0 = std::time::Instant::now();
-                        let e = solve(&ct, DpMode::Exact, model, None);
+                        let e = solve(&ct, model, None);
                         (e, t0.elapsed())
                     })
                     .min_by_key(|(_, t)| *t)
                     .expect("five runs");
-                let t1 = std::time::Instant::now();
-                let w = solve(&ct, DpMode::Windowed, model, None);
-                let tw = t1.elapsed();
-                assert_eq!(e.value(), w.value());
                 eprintln!(
-                    "n={n} {model:?}: exact {} probes in {te:?} ({:.2} ns/probe), \
-                     windowed {} probes in {tw:?}",
+                    "n={n} {model:?}: {} probes in {te:?} ({:.2} ns/probe)",
                     e.probes(),
                     te.as_nanos() as f64 / e.probes() as f64,
-                    w.probes(),
                 );
             }
         }
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for m in DpMode::ALL {
-            assert_eq!(m.as_str().parse::<DpMode>().unwrap(), m);
-            assert_eq!(m.to_string(), m.as_str());
-        }
-        assert!("bogus".parse::<DpMode>().is_err());
-        assert_eq!(DpMode::default(), DpMode::Exact);
     }
 }

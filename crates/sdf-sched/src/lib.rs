@@ -62,7 +62,7 @@ pub use apgan::apgan;
 pub use chain::ChainTables;
 pub use chain_precise::{chain_precise, ChainPreciseResult, CostTriple};
 pub use demand::demand_driven_schedule;
-pub use dppo::{dppo, dppo_from_tables, dppo_from_tables_memo, dppo_with_mode, DppoResult};
+pub use dppo::{dppo, dppo_from_tables, dppo_from_tables_memo, DppoResult};
 pub use dpwin::DpMode;
 pub use memo::{MemoEntry, MemoKey, MemoStats, MemoStore};
 pub use rpmc::rpmc;

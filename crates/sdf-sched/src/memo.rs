@@ -10,17 +10,16 @@
 //! graph, a different lexical position, or a different request hits the
 //! same entry.
 //!
-//! The store works per schedule tree, in [`crate::DpMode::Exact`] (the
-//! default) only; the windowed cross-check ignores it.  A run resolves
-//! the root and then every tree cell from the store; on the first miss it
-//! runs the dense fill and inserts the resulting tree's `n − 1` cells.  A
-//! lexical order whose content the store has seen — a reverted edit, an
-//! undo, a repeated request — costs no DP fill at all, and the store
-//! grows by only `n − 1` entries per solved order.  Reuse of partial
-//! subchains is deliberately dropped: seeding the dense fill per cell
-//! multiplied the store's memory for little gain.  Entries are keyed by
-//! cost model (the `DOMAIN_*` tags), so SDPPO policies that price every
-//! split alike share them.
+//! The store works per schedule tree.  A run resolves the root and then
+//! every tree cell from the store; on the first miss it runs the dense
+//! fill and inserts the resulting tree's `n − 1` cells.  A lexical order
+//! whose content the store has seen — a reverted edit, an undo, a
+//! repeated request — costs no DP fill at all, and the store grows by
+//! only `n − 1` entries per solved order.  Reuse of partial subchains is
+//! deliberately dropped: seeding the dense fill per cell multiplied the
+//! store's memory for little gain.  Entries are keyed by cost model (the
+//! `DOMAIN_*` tags), so SDPPO policies that price every split alike share
+//! them.
 //!
 //! Correctness does not depend on the store at all: a hit merely replays
 //! a value the exact recurrence would recompute, and the smallest-argmin

@@ -105,12 +105,12 @@ pub fn sdppo_with_policy(
         return Err(SdfError::EmptyGraph);
     }
     let ct = ChainTables::build(graph, q, order)?;
-    Ok(sdppo_from_tables(&ct, q, policy, DpMode::default()))
+    Ok(sdppo_from_tables_memo(&ct, q, policy, None))
 }
 
 /// Runs the Eq. 5 DP over prebuilt [`ChainTables`] with an explicit
-/// factoring policy and [`DpMode`], so candidates sharing a lexical order
-/// share the O(n²) gcd/prefix-sum work.
+/// factoring policy, so candidates sharing a lexical order share the
+/// O(n²) gcd/prefix-sum work.  `_mode` selects nothing (see [`DpMode`]).
 ///
 /// # Panics
 ///
@@ -119,17 +119,16 @@ pub fn sdppo_from_tables(
     ct: &ChainTables,
     q: &RepetitionsVector,
     policy: FactoringPolicy,
-    mode: DpMode,
+    _mode: DpMode,
 ) -> SdppoResult {
-    sdppo_from_tables_memo(ct, q, policy, mode, None)
+    sdppo_from_tables_memo(ct, q, policy, None)
 }
 
 /// [`sdppo_from_tables`] with an optional cross-run [`MemoStore`] of
 /// schedule trees, keyed by cost model: `Heuristic` and `Always` price
 /// every split alike and share entries, `Never` keeps its own.  The store
-/// engages only in [`DpMode::Exact`] and only on tables built via
-/// [`ChainTables::build_hashed`]; results are bit-identical with or
-/// without it.
+/// engages only on tables built via [`ChainTables::build_hashed`];
+/// results are bit-identical with or without it.
 ///
 /// # Panics
 ///
@@ -138,7 +137,6 @@ pub fn sdppo_from_tables_memo(
     ct: &ChainTables,
     q: &RepetitionsVector,
     policy: FactoringPolicy,
-    mode: DpMode,
     memo: Option<&MemoStore>,
 ) -> SdppoResult {
     assert!(!ct.is_empty(), "SDPPO needs at least one actor");
@@ -152,14 +150,13 @@ pub fn sdppo_from_tables_memo(
         combine: dpwin::Combine::Max,
         factored: policy != FactoringPolicy::Never,
     };
-    let dp = dpwin::solve(ct, mode, model, memo);
+    let dp = dpwin::solve(ct, model, memo);
     let shared_cost = dp.value();
-    // As in DPPO, tree decisions read argmin splits straight from the
-    // solved DP — the windowed tie-break provably matches the kernel's.
-    let dp = std::cell::RefCell::new(dp);
+    // As in DPPO, tree decisions read smallest-argmin splits straight from
+    // the solved DP.
     let factored_splits = std::cell::Cell::new(0u64);
     let tree = build_tree(ct, q, &|i, j| {
-        let k = dp.borrow_mut().tree_split(i, j);
+        let k = dp.tree_split(i, j);
         let factored = policy.factors(ct.crossing_count(i, k, j));
         if factored {
             factored_splits.set(factored_splits.get() + 1);
@@ -172,7 +169,7 @@ pub fn sdppo_from_tables_memo(
         let nn = n as u64;
         sdf_trace::counter_inc("sched.sdppo.runs");
         sdf_trace::counter_add("sched.sdppo.cells", nn * (nn - 1) / 2);
-        sdf_trace::counter_add("sched.sdppo.split_probes", dp.borrow().probes());
+        sdf_trace::counter_add("sched.sdppo.split_probes", dp.probes());
         // Factored decisions the schedule actually takes (one candidate
         // per tree split).
         sdf_trace::counter_add("sched.sdppo.factored_splits", factored_splits.get());
@@ -302,31 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_matches_exact_every_policy() {
-        let mut g = SdfGraph::new("fig4ish");
-        let a = g.add_actor("A");
-        let b = g.add_actor("B");
-        let c = g.add_actor("C");
-        let d = g.add_actor("D");
-        g.add_edge(a, b, 3, 2).unwrap();
-        g.add_edge(b, c, 5, 3).unwrap();
-        g.add_edge(c, d, 2, 5).unwrap();
-        let q = RepetitionsVector::compute(&g).unwrap();
-        let order = [a, b, c, d];
-        let ct = ChainTables::build(&g, &q, &order).unwrap();
-        for policy in [
-            FactoringPolicy::Heuristic,
-            FactoringPolicy::Always,
-            FactoringPolicy::Never,
-        ] {
-            let exact = sdppo_from_tables(&ct, &q, policy, DpMode::Exact);
-            let windowed = sdppo_from_tables(&ct, &q, policy, DpMode::Windowed);
-            assert_eq!(exact.shared_cost, windowed.shared_cost, "{policy:?}");
-            assert_eq!(exact.tree, windowed.tree, "{policy:?}");
-        }
-    }
-
-    #[test]
     fn memo_is_keyed_by_cost_model() {
         // All three policies and DPPO share one store.  `Heuristic` and
         // `Always` price every split alike, so the second of them resolves
@@ -351,9 +323,9 @@ mod tests {
             (FactoringPolicy::Never, cells),
         ] {
             let before = store.len();
-            let cold = sdppo_from_tables(&ct, &q, policy, DpMode::Exact);
-            let memoed = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Exact, Some(&store));
-            let warm = sdppo_from_tables_memo(&ct, &q, policy, DpMode::Exact, Some(&store));
+            let cold = sdppo_from_tables_memo(&ct, &q, policy, None);
+            let memoed = sdppo_from_tables_memo(&ct, &q, policy, Some(&store));
+            let warm = sdppo_from_tables_memo(&ct, &q, policy, Some(&store));
             assert_eq!(cold.shared_cost, memoed.shared_cost, "{policy:?}");
             assert_eq!(cold.tree, memoed.tree, "{policy:?}");
             assert_eq!(cold.tree, warm.tree, "{policy:?} warm");
@@ -361,8 +333,8 @@ mod tests {
         }
         // DPPO shares the store too, under its own tag.
         let before = store.len();
-        let dp_cold = crate::dppo::dppo_from_tables(&ct, &q, DpMode::Exact);
-        let dp_memo = crate::dppo::dppo_from_tables_memo(&ct, &q, DpMode::Exact, Some(&store));
+        let dp_cold = crate::dppo::dppo_from_tables_memo(&ct, &q, None);
+        let dp_memo = crate::dppo::dppo_from_tables_memo(&ct, &q, Some(&store));
         assert_eq!(dp_cold.bufmem, dp_memo.bufmem);
         assert_eq!(dp_cold.tree, dp_memo.tree);
         assert_eq!(store.len() - before, cells, "DPPO entries");
@@ -374,32 +346,26 @@ mod tests {
         let store = crate::memo::MemoStore::new();
         // Plain tables: no hasher, memo must disengage silently.
         let ct = ChainTables::build(&g, &q, &order).unwrap();
-        let r = sdppo_from_tables_memo(
-            &ct,
-            &q,
-            FactoringPolicy::Heuristic,
-            DpMode::Exact,
-            Some(&store),
-        );
+        let r = sdppo_from_tables_memo(&ct, &q, FactoringPolicy::Heuristic, Some(&store));
         assert_eq!(r.shared_cost, 40);
         assert!(store.is_empty(), "memo engaged without a hasher");
-        // Hashed tables in exact mode: a cold run fills densely and
-        // stores exactly the tree's n - 1 cells; a warm run resolves the
-        // whole tree from the store without a single split probe.
+        // Hashed tables: a cold run fills densely and stores exactly the
+        // tree's n - 1 cells; a warm run resolves the whole tree from the
+        // store without a single split probe.
         let cth = ChainTables::build_hashed(&g, &q, &order).unwrap();
         let policy = FactoringPolicy::Heuristic;
-        let cold = sdppo_from_tables_memo(&cth, &q, policy, DpMode::Exact, Some(&store));
+        let cold = sdppo_from_tables_memo(&cth, &q, policy, Some(&store));
         assert_eq!(cold.shared_cost, 40);
         assert_eq!(store.len(), order.len() - 1, "store holds the tree's cells");
         let model = dpwin::CostModel {
             combine: dpwin::Combine::Max,
             factored: true,
         };
-        let warm_dp = dpwin::solve(&cth, DpMode::Exact, model, Some(&store));
+        let warm_dp = dpwin::solve(&cth, model, Some(&store));
         assert_eq!(warm_dp.probes(), 0, "warm exact run probed splits");
         assert_eq!(warm_dp.value(), 40);
         let before = store.stats();
-        let warm = sdppo_from_tables_memo(&cth, &q, policy, DpMode::Exact, Some(&store));
+        let warm = sdppo_from_tables_memo(&cth, &q, policy, Some(&store));
         let after = store.stats();
         assert_eq!(warm.shared_cost, cold.shared_cost);
         assert_eq!(warm.tree, cold.tree);

@@ -17,7 +17,6 @@ use sdf_core::schedule::SasTree;
 use crate::chain::ChainTables;
 use crate::chain_precise::{chain_precise, DEFAULT_FRONTIER_CAP};
 use crate::dppo::{dppo, dppo_from_tables_memo};
-use crate::dpwin::DpMode;
 use crate::memo::MemoStore;
 use crate::sdppo::{sdppo, sdppo_from_tables_memo, FactoringPolicy};
 
@@ -161,10 +160,10 @@ pub fn schedule_variant(
     }
 }
 
-/// Runs `variant` against prebuilt [`ChainTables`] with an explicit
-/// [`DpMode`], so candidates sharing a lexical order share one table
-/// build.  Chain-precise ignores the tables (it derives the chain order
-/// itself) and always runs exactly.
+/// Runs `variant` against prebuilt [`ChainTables`], so candidates
+/// sharing a lexical order share one table build.  Chain-precise ignores
+/// the tables (it derives the chain order itself) and always runs
+/// exactly.
 ///
 /// # Errors
 ///
@@ -175,9 +174,8 @@ pub fn schedule_variant_from_tables(
     q: &RepetitionsVector,
     ct: &ChainTables,
     variant: LoopVariant,
-    mode: DpMode,
 ) -> Result<ScheduledVariant, SdfError> {
-    schedule_variant_from_tables_memo(graph, q, ct, variant, mode, None)
+    schedule_variant_from_tables_memo(graph, q, ct, variant, None)
 }
 
 /// Like [`schedule_variant_from_tables`], plus an optional cross-run
@@ -193,19 +191,18 @@ pub fn schedule_variant_from_tables_memo(
     q: &RepetitionsVector,
     ct: &ChainTables,
     variant: LoopVariant,
-    mode: DpMode,
     memo: Option<&MemoStore>,
 ) -> Result<ScheduledVariant, SdfError> {
     match variant {
         LoopVariant::Sdppo => {
-            let r = sdppo_from_tables_memo(ct, q, FactoringPolicy::Heuristic, mode, memo);
+            let r = sdppo_from_tables_memo(ct, q, FactoringPolicy::Heuristic, memo);
             Ok(ScheduledVariant {
                 tree: r.tree,
                 cost_estimate: r.shared_cost,
             })
         }
         LoopVariant::Dppo => {
-            let r = dppo_from_tables_memo(ct, q, mode, memo);
+            let r = dppo_from_tables_memo(ct, q, memo);
             Ok(ScheduledVariant {
                 tree: r.tree,
                 cost_estimate: r.bufmem,
@@ -259,14 +256,9 @@ mod tests {
         let ct = ChainTables::build(&g, &q, &order).unwrap();
         for variant in LoopVariant::ALL {
             let plain = schedule_variant(&g, &q, &order, variant).unwrap();
-            for mode in DpMode::ALL {
-                let tabled = schedule_variant_from_tables(&g, &q, &ct, variant, mode).unwrap();
-                assert_eq!(plain.tree, tabled.tree, "{variant} {mode}");
-                assert_eq!(
-                    plain.cost_estimate, tabled.cost_estimate,
-                    "{variant} {mode}"
-                );
-            }
+            let tabled = schedule_variant_from_tables(&g, &q, &ct, variant).unwrap();
+            assert_eq!(plain.tree, tabled.tree, "{variant}");
+            assert_eq!(plain.cost_estimate, tabled.cost_estimate, "{variant}");
         }
     }
 

@@ -60,7 +60,7 @@ use sdf_lifetime::clique::{mcw_optimistic, mcw_pessimistic};
 use sdf_lifetime::tree::ScheduleTree;
 use sdf_lifetime::wig::IntersectionGraph;
 use sdf_sched::variant::{schedule_variant_from_tables_memo, LoopVariant};
-use sdf_sched::{apgan, dppo_from_tables_memo, rpmc, ChainTables, DpMode, MemoStore};
+use sdf_sched::{apgan, dppo_from_tables_memo, rpmc, ChainTables, MemoStore};
 
 use crate::pipeline::Analysis;
 
@@ -144,26 +144,21 @@ pub struct SynthesisOptions {
     pub allocation_orders: Vec<AllocationOrder>,
     /// Evaluate lattice cells on parallel threads.
     pub parallel: bool,
-    /// How the chain DPs scan split positions. Both modes produce
-    /// bit-identical schedules and costs; [`DpMode::Exact`] (the
-    /// default) runs the dense cache-friendly kernel for DPPO and SDPPO,
-    /// and [`DpMode::Windowed`] remains as the independent cross-check.
-    /// The `engine_report` records the mode as `dp_mode`.
-    pub dp_mode: DpMode,
     /// Cross-run memo store for the chain DPs. When set, chain tables
-    /// are built with subchain hashers and exact-mode DP results are
+    /// are built with subchain hashers and DP results are
     /// content-addressed in the store per schedule tree: a lexical order
     /// whose content was solved before resolves its whole tree without
-    /// a DP fill. The windowed cross-check ignores the store. Results are bit-identical with and without a store; `None` (the
-    /// default) keeps the classic single-shot behaviour and is required
-    /// by the regression sentinel's deterministic-counter capture.
+    /// a DP fill. Results are bit-identical with and without a store;
+    /// `None` (the default) keeps the classic single-shot behaviour and
+    /// is required by the regression sentinel's deterministic-counter
+    /// capture.
     pub memo: Option<Arc<MemoStore>>,
 }
 
 impl Default for SynthesisOptions {
     /// The configuration equivalent to the classic [`Analysis::run`]:
     /// RPMC and APGAN orders, SDPPO loop hierarchies, both paper
-    /// allocation orders, parallel evaluation, exact DP scans.
+    /// allocation orders, parallel evaluation.
     fn default() -> Self {
         SynthesisOptions {
             heuristics: vec![Heuristic::Rpmc, Heuristic::Apgan],
@@ -171,7 +166,6 @@ impl Default for SynthesisOptions {
             loop_opts: vec![LoopVariant::Sdppo],
             allocation_orders: AllocationOrder::PAPER.to_vec(),
             parallel: true,
-            dp_mode: DpMode::default(),
             memo: None,
         }
     }
@@ -232,19 +226,10 @@ impl AnalysisBuilder {
         self
     }
 
-    /// Selects the chain-DP scan mode. Results are bit-identical in both
-    /// modes; only the probe count and wall time change (the default
-    /// exact kernel is the faster one).
-    #[must_use]
-    pub fn dp_mode(mut self, mode: DpMode) -> Self {
-        self.options.dp_mode = mode;
-        self
-    }
-
     /// Installs a cross-run [`MemoStore`] for the chain DPs. Results are
-    /// bit-identical with and without one; in the default exact mode a
-    /// warm store resolves a previously seen order's whole schedule tree
-    /// without running the cubic DP fill.
+    /// bit-identical with and without one; a warm store resolves a
+    /// previously seen order's whole schedule tree without running the
+    /// cubic DP fill.
     #[must_use]
     pub fn memo(mut self, store: Arc<MemoStore>) -> Self {
         self.options.memo = Some(store);
@@ -392,8 +377,6 @@ pub struct EngineReport {
     pub parallel: bool,
     /// Threads the parallel backend would use.
     pub threads: usize,
-    /// The chain-DP scan mode the run used.
-    pub dp_mode: DpMode,
     /// Wall time of the repetitions-vector computation.
     pub repetitions_ns: u64,
     /// Best non-shared bufmem over all swept orders (the baseline).
@@ -456,7 +439,9 @@ impl EngineReport {
         s.push(',');
         json_num(&mut s, "threads", self.threads as u64);
         s.push(',');
-        json_str(&mut s, "dp_mode", self.dp_mode.as_str());
+        // The DPs have one solver; the member stays for readers of the
+        // format.
+        json_str(&mut s, "dp_mode", "exact");
         s.push(',');
         json_us(&mut s, "repetitions_us", self.repetitions_ns);
         s.push(',');
@@ -540,13 +525,12 @@ impl fmt::Display for EngineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "engine report: {} ({} actors, {} edges), {} evaluation on {} threads, {} DP",
+            "engine report: {} ({} actors, {} edges), {} evaluation on {} threads, exact DP",
             self.graph,
             self.actors,
             self.edges,
             if self.parallel { "parallel" } else { "serial" },
             self.threads,
-            self.dp_mode
         )?;
         writeln!(f, "non-shared baseline: {} words", self.nonshared_bufmem)?;
         writeln!(
@@ -682,7 +666,7 @@ fn run_engine(graph: &SdfGraph, options: &SynthesisOptions) -> Result<Synthesis,
                     Some(_) => ChainTables::build_hashed(graph, &q, order)?,
                     None => ChainTables::build(graph, &q, order)?,
                 });
-                let b = dppo_from_tables_memo(&ct, &q, options.dp_mode, options.memo.as_deref());
+                let b = dppo_from_tables_memo(&ct, &q, options.memo.as_deref());
                 let ns = elapsed_ns(t);
                 tables.insert(order.as_slice(), ct);
                 baselines.insert(order.as_slice(), (b.clone(), ns));
@@ -740,7 +724,6 @@ fn run_engine(graph: &SdfGraph, options: &SynthesisOptions) -> Result<Synthesis,
     // shared recorder: serial runs difference a snapshot around each
     // candidate; parallel cells interleave, so they skip attribution.
     let attribute_counters = !options.parallel && sdf_trace::enabled();
-    let dp_mode = options.dp_mode;
     let memo = options.memo.clone();
     let evaluate = |cell: Cell| -> Result<Vec<Candidate>, SdfError> {
         let _cell_span = sdf_trace::span!(
@@ -768,7 +751,6 @@ fn run_engine(graph: &SdfGraph, options: &SynthesisOptions) -> Result<Synthesis,
                             &q,
                             &cell.tables,
                             cell.loop_opt,
-                            dp_mode,
                             memo.as_deref(),
                         )?
                         .tree,
@@ -902,7 +884,6 @@ fn run_engine(graph: &SdfGraph, options: &SynthesisOptions) -> Result<Synthesis,
         } else {
             1
         },
-        dp_mode: options.dp_mode,
         repetitions_ns,
         nonshared_bufmem,
         orders: order_timings,

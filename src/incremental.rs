@@ -694,7 +694,7 @@ impl IncrementalSession {
         for (_, order) in &orders {
             if !baselines.contains_key(order) {
                 let ct = Arc::new(ChainTables::build_hashed(&graph, &q, order)?);
-                let b = dppo_from_tables_memo(&ct, &q, options.dp_mode, Some(&self.memo));
+                let b = dppo_from_tables_memo(&ct, &q, Some(&self.memo));
                 tables.insert(order.clone(), ct);
                 baselines.insert(order.clone(), b);
             }
@@ -749,7 +749,6 @@ impl IncrementalSession {
                     &q,
                     &tables[&cell.order],
                     cell.loop_opt,
-                    options.dp_mode,
                     Some(&self.memo),
                 )?
                 .tree

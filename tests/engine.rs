@@ -298,46 +298,3 @@ fn widening_the_lattice_never_regresses() {
         );
     }
 }
-
-#[test]
-fn exact_and_windowed_dp_agree_on_every_app_graph() {
-    // The windowed DP is exact by construction; the whole synthesis —
-    // schedules, allocations, pool totals — must be bit-for-bit
-    // identical under both modes on every graph the workspace ships.
-    use sdfmem::sched::DpMode;
-    for graph in all_app_graphs() {
-        let exact = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
-            .dp_mode(DpMode::Exact)
-            .run_full(&graph)
-            .expect("exact run");
-        let windowed = AnalysisBuilder::new()
-            .loop_opts(LoopVariant::ALL)
-            .dp_mode(DpMode::Windowed)
-            .run_full(&graph)
-            .expect("windowed run");
-        assert_eq!(
-            exact.candidates.len(),
-            windowed.candidates.len(),
-            "{}",
-            graph.name()
-        );
-        for (e, w) in exact.candidates.iter().zip(&windowed.candidates) {
-            assert_eq!(e.schedule, w.schedule, "{}", graph.name());
-            assert_eq!(e.shared_total, w.shared_total, "{}", graph.name());
-            assert_eq!(e.allocation, w.allocation, "{}", graph.name());
-        }
-        assert_eq!(
-            exact.report.winner,
-            windowed.report.winner,
-            "{}",
-            graph.name()
-        );
-        assert_eq!(
-            exact.analysis.nonshared_bufmem,
-            windowed.analysis.nonshared_bufmem,
-            "{}",
-            graph.name()
-        );
-    }
-}

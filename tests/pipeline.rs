@@ -122,6 +122,28 @@ fn pipeline_scales_to_hundreds_of_actors() {
 }
 
 #[test]
+fn sweep_wig_matches_all_pairs_on_scale_systems() {
+    // The sweep's envelope pruning must not drop or invent a conflict on
+    // the large synthetic systems: chain, filterbank tree and DAG at
+    // n = 128, under the schedule the default engine picks.
+    use sdfmem::apps::scale::scale_systems;
+    for graph in scale_systems(128) {
+        let analysis = sdfmem::AnalysisBuilder::default().run(&graph).unwrap();
+        let sweep = &analysis.wig;
+        let all_pairs = IntersectionGraph::from_buffers_all_pairs(sweep.buffers().to_vec());
+        assert_eq!(sweep.len(), graph.edge_count(), "{}", graph.name());
+        for i in 0..sweep.len() {
+            assert_eq!(
+                sweep.neighbours(i),
+                all_pairs.neighbours(i),
+                "{} buffer {i}",
+                graph.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn homogeneous_grid_reaches_m_plus_one() {
     use sdfmem::apps::homogeneous::{homogeneous_grid, shared_optimum};
     for (m, n) in [(2u64, 3u64), (3, 4), (5, 6)] {

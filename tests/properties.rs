@@ -368,55 +368,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The bound-guided windowed DP must be bit-identical to the dense
-    /// exact scan — values, bufmem AND chosen split trees — on random
-    /// rate-changing chains with sporadic delays, for both the Sum (DPPO)
-    /// and Max (SDPPO) recurrences.
-    #[test]
-    fn windowed_dp_is_bit_identical_to_exact_on_random_chains(seed in 0u64..1_000_000) {
-        use sdfmem::core::SdfGraph;
-        use sdfmem::sched::{
-            dppo_from_tables, sdppo_from_tables, ChainTables, DpMode, FactoringPolicy,
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rates = || -> (u64, u64) {
-            // Mostly-homogeneous chains with sparse converters, like real
-            // multistage systems; bounded ratios keep q in u64 range.
-            if rng.gen_bool(0.7) {
-                (1, 1)
-            } else {
-                [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)]
-                    [rng.gen_range(0..6)]
-            }
-        };
-        let mut rng2 = rand::rngs::StdRng::seed_from_u64(seed ^ 0xD1CE);
-        let n = 2 + (seed % 27) as usize;
-        let mut g = SdfGraph::new("chain");
-        let ids: Vec<_> = (0..n).map(|i| g.add_actor(format!("a{i}"))).collect();
-        for i in 0..n - 1 {
-            let (prod, cons) = rates();
-            let delay = if rng2.gen_bool(0.15) { cons * rng2.gen_range(1..=2u64) } else { 0 };
-            g.add_edge_with_delay(ids[i], ids[i + 1], prod, cons, delay).expect("rates");
-        }
-        let q = RepetitionsVector::compute(&g).expect("chains are consistent");
-        let order = g.chain_order().expect("chain");
-        let ct = ChainTables::build(&g, &q, &order).expect("topological");
-
-        let e = dppo_from_tables(&ct, &q, DpMode::Exact);
-        let w = dppo_from_tables(&ct, &q, DpMode::Windowed);
-        prop_assert_eq!(e.bufmem, w.bufmem);
-        prop_assert_eq!(e.tree, w.tree);
-
-        let es = sdppo_from_tables(&ct, &q, FactoringPolicy::Heuristic, DpMode::Exact);
-        let ws = sdppo_from_tables(&ct, &q, FactoringPolicy::Heuristic, DpMode::Windowed);
-        prop_assert_eq!(es.shared_cost, ws.shared_cost);
-        prop_assert_eq!(es.tree, ws.tree);
-    }
-}
-
 /// The textbook chain DP over a crossing-cost closure: every cell of
 /// the triangular table bottom-up, splits ascending so ties resolve to
 /// the smallest argmin, then the tree from the split table. `max`
@@ -458,14 +409,55 @@ fn textbook_chain_dp(
     (value[n - 1], tree)
 }
 
-/// Checks DPPO and SDPPO under every factoring policy, in both DP modes,
-/// against [`textbook_chain_dp`] on an `n`-actor chain drawn from `seed`:
-/// rate changes, delays, and parallel edges between neighbours.
+/// Checks DPPO and SDPPO under every factoring policy against
+/// [`textbook_chain_dp`] over the chain tables of one lexical order:
+/// values and schedule trees.
+fn check_dense_kernel_on_tables(
+    ct: &sdfmem::sched::ChainTables,
+    q: &RepetitionsVector,
+    what: &str,
+) -> Result<(), proptest::TestCaseError> {
+    use sdfmem::sched::{dppo_from_tables, sdppo_from_tables, DpMode, FactoringPolicy};
+    let (value, tree) = textbook_chain_dp(
+        ct,
+        q,
+        false,
+        |i, k, j| ct.split_cost(i, k, j),
+        |_, _, _| true,
+    );
+    let r = dppo_from_tables(ct, q, DpMode::default());
+    prop_assert_eq!(r.bufmem, value, "dppo {}", what);
+    prop_assert_eq!(&r.tree, &tree, "dppo {}", what);
+    for policy in [
+        FactoringPolicy::Heuristic,
+        FactoringPolicy::Always,
+        FactoringPolicy::Never,
+    ] {
+        let factors = |i: usize, k: usize, j: usize| match policy {
+            FactoringPolicy::Heuristic => ct.crossing_count(i, k, j) > 0,
+            FactoringPolicy::Always => true,
+            FactoringPolicy::Never => false,
+        };
+        let crossing = |i: usize, k: usize, j: usize| {
+            if factors(i, k, j) {
+                ct.split_cost(i, k, j)
+            } else {
+                ct.split_cost_unfactored(i, k, j)
+            }
+        };
+        let (value, tree) = textbook_chain_dp(ct, q, true, crossing, factors);
+        let r = sdppo_from_tables(ct, q, policy, DpMode::default());
+        prop_assert_eq!(r.shared_cost, value, "sdppo {:?} {}", policy, what);
+        prop_assert_eq!(&r.tree, &tree, "sdppo {:?} {}", policy, what);
+    }
+    Ok(())
+}
+
+/// [`check_dense_kernel_on_tables`] on an `n`-actor chain drawn from
+/// `seed`: rate changes, delays, and parallel edges between neighbours.
 fn check_dense_kernel_on_chain(seed: u64, n: usize) -> Result<(), proptest::TestCaseError> {
     use sdfmem::core::SdfGraph;
-    use sdfmem::sched::{
-        dppo_from_tables, sdppo_from_tables, ChainTables, DpMode, FactoringPolicy,
-    };
+    use sdfmem::sched::ChainTables;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut g = SdfGraph::new("chain");
     let ids: Vec<_> = (0..n).map(|i| g.add_actor(format!("a{i}"))).collect();
@@ -501,53 +493,15 @@ fn check_dense_kernel_on_chain(seed: u64, n: usize) -> Result<(), proptest::Test
     }
     let q = RepetitionsVector::compute(&g).expect("chains are consistent");
     let ct = ChainTables::build(&g, &q, &ids).expect("topological");
-
-    let (value, tree) = textbook_chain_dp(
-        &ct,
-        &q,
-        false,
-        |i, k, j| ct.split_cost(i, k, j),
-        |_, _, _| true,
-    );
-    for mode in [DpMode::Exact, DpMode::Windowed] {
-        let r = dppo_from_tables(&ct, &q, mode);
-        prop_assert_eq!(r.bufmem, value, "dppo {} n={}", mode, n);
-        prop_assert_eq!(&r.tree, &tree, "dppo {} n={}", mode, n);
-    }
-    for policy in [
-        FactoringPolicy::Heuristic,
-        FactoringPolicy::Always,
-        FactoringPolicy::Never,
-    ] {
-        let factors = |i: usize, k: usize, j: usize| match policy {
-            FactoringPolicy::Heuristic => ct.crossing_count(i, k, j) > 0,
-            FactoringPolicy::Always => true,
-            FactoringPolicy::Never => false,
-        };
-        let crossing = |i: usize, k: usize, j: usize| {
-            if factors(i, k, j) {
-                ct.split_cost(i, k, j)
-            } else {
-                ct.split_cost_unfactored(i, k, j)
-            }
-        };
-        let (value, tree) = textbook_chain_dp(&ct, &q, true, crossing, factors);
-        for mode in [DpMode::Exact, DpMode::Windowed] {
-            let r = sdppo_from_tables(&ct, &q, policy, mode);
-            prop_assert_eq!(r.shared_cost, value, "sdppo {:?} {} n={}", policy, mode, n);
-            prop_assert_eq!(&r.tree, &tree, "sdppo {:?} {} n={}", policy, mode, n);
-        }
-    }
-    Ok(())
+    check_dense_kernel_on_tables(&ct, &q, &format!("n={n}"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The dense exact kernel (and the windowed cross-check) reproduce
-    /// the textbook closure scan — values and schedule trees — for DPPO
-    /// and all three SDPPO factoring policies on random chains with
-    /// delays and parallel edges.
+    /// The dense exact kernel reproduces the textbook closure scan —
+    /// values and schedule trees — for DPPO and all three SDPPO factoring
+    /// policies on random chains with delays and parallel edges.
     #[test]
     fn dense_kernel_matches_textbook_scan_on_random_chains(seed in 0u64..1_000_000) {
         check_dense_kernel_on_chain(seed, 1 + (seed % 32) as usize)?;
@@ -559,6 +513,30 @@ fn dense_kernel_matches_textbook_scan_on_one_and_two_actors() {
     for seed in 0..32 {
         for n in [1, 2] {
             check_dense_kernel_on_chain(seed, n).expect("kernel matches textbook");
+        }
+    }
+}
+
+/// The random chains above have no skip edges; the application graphs
+/// do. On the RPMC and APGAN order of every graph `sdf_apps` ships, the
+/// kernel must reproduce the textbook scan, values and trees.
+#[test]
+fn dense_kernel_matches_textbook_scan_on_every_app_graph() {
+    use sdfmem::apps::registry::{cd_dat, table1_systems};
+    use sdfmem::apps::{extended::extended_systems, homogeneous::homogeneous_grid};
+    use sdfmem::sched::ChainTables;
+    let mut graphs = table1_systems();
+    graphs.extend(extended_systems());
+    graphs.extend([cd_dat(), homogeneous_grid(4, 4), homogeneous_grid(7, 5)]);
+    for graph in graphs {
+        let q = RepetitionsVector::compute(&graph).expect("consistent");
+        for (heuristic, order) in [
+            ("rpmc", rpmc(&graph, &q).expect("acyclic")),
+            ("apgan", apgan(&graph, &q).expect("acyclic")),
+        ] {
+            let ct = ChainTables::build(&graph, &q, &order).expect("topological");
+            let what = format!("{} {heuristic}", graph.name());
+            check_dense_kernel_on_tables(&ct, &q, &what).expect("kernel matches textbook");
         }
     }
 }
